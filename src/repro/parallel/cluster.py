@@ -87,15 +87,13 @@ from repro.parallel.store import _MAGIC
 from repro.parallel.wire import (
     DEFAULT_MAX_CONNECTIONS,
     DEFAULT_TIMEOUT,
+    FrameConnection,
     FrameService,
     ProtocolError,
-    negotiate_caps,
+    fetch_telemetry,
     pack_str,
     parse_hostport_url,
-    read_frame,
     unpack_str,
-    wrap_context,
-    write_frame,
 )
 
 __all__ = [
@@ -134,7 +132,7 @@ _OP_HELLO = b"W"     # register; returns the assigned worker id
 _OP_BEAT = b"B"      # heartbeat (also implicit in every poll)
 _OP_POLL = b"T"      # ask for a task
 _OP_RESULT = b"R"    # deliver a task result
-_OP_STATS = b"S"     # observer: stats() as a JSON body
+_OP_STATS = b"S"     # legacy observer opcode: stats() as a JSON body
 _OP_PING = b"?"
 
 # Response statuses.
@@ -287,10 +285,6 @@ class ClusterDispatcher(FrameService):
         # Serialises whole batches (submit-to-collect), not frame handling.
         self._batch_lock = threading.Lock()
 
-    def __enter__(self) -> "ClusterDispatcher":
-        self.start()
-        return self
-
     # ------------------------------------------------------------ batch API
 
     def run_batch(
@@ -375,18 +369,6 @@ class ClusterDispatcher(FrameService):
 
     # ------------------------------------------------------------- dispatch
 
-    def _handle_frame(self, request: bytes) -> bytes:
-        try:
-            status, body = self._dispatch(request)
-        except ProtocolError:
-            status, body = _ST_ERR, b"malformed request"
-        except Exception:
-            status, body = _ST_ERR, b"internal error"
-        return status + body
-
-    def _internal_error_frame(self) -> bytes:
-        return _ST_ERR + b"internal error"
-
     def _dispatch(self, request: bytes) -> tuple[bytes, bytes]:
         op = request[:1]
         if op == _OP_HELLO:
@@ -398,8 +380,9 @@ class ClusterDispatcher(FrameService):
         if op == _OP_RESULT:
             return self._handle_result(request)
         if op == _OP_STATS:
-            # Observer endpoint (repro-chem cluster-status): counters only,
-            # no worker registration and no effect on scheduling state.
+            # Observer endpoint of older cluster-status clients (current
+            # ones read the same dict from TELEMETRY): counters only, no
+            # worker registration and no effect on scheduling state.
             return _ST_OK, json.dumps(self.stats()).encode("utf-8")
         if op == _OP_PING:
             return _ST_OK, _PING_BANNER
@@ -543,14 +526,13 @@ def dispatcher_status(
 ) -> dict[str, Any]:
     """One-shot :meth:`ClusterDispatcher.stats` fetch from outside the run.
 
-    Dials ``cluster://host:port``, sends the observer STATS opcode and
-    returns the counters dict.  Raises ``ConnectionError`` when no
-    dispatcher answers (dead run, wrong URL) and
+    Scrapes the dispatcher's telemetry snapshot (:func:`fetch_telemetry`)
+    and returns its ``stats`` counters dict.  Raises ``ConnectionError``
+    when no dispatcher answers (dead run, wrong URL) and
     :class:`~repro.parallel.wire.ProtocolError` when something else is
     listening there — ``repro-chem cluster-status`` maps both onto a clean
     non-zero exit.  ``retries`` re-dials an unreachable dispatcher under
-    the shared jittered backoff policy (default 0: one shot, exactly the
-    old behaviour).
+    the shared jittered backoff policy (default 0: one shot).
     """
     host, port = parse_cluster_url(url)
     policy = RetryPolicy(
@@ -559,11 +541,7 @@ def dispatcher_status(
     state = policy.start(policy_rng(retry_seed))
     while True:
         try:
-            with socket.create_connection((host, port), timeout=timeout) as sock:
-                sock.settimeout(timeout)
-                with sock.makefile("rb") as rfile, sock.makefile("wb") as wfile:
-                    write_frame(wfile, _OP_STATS)
-                    response = read_frame(rfile)
+            doc = fetch_telemetry(host, port, timeout=timeout)
             break
         except OSError as exc:
             delay = state.note_failure()
@@ -572,18 +550,11 @@ def dispatcher_status(
                     f"no cluster dispatcher reachable at {url}: {exc}"
                 )
             time.sleep(delay)
-    if response[:1] != _ST_OK:
-        raise ProtocolError(
-            f"dispatcher at {url} refused STATS: "
-            f"{response[1:].decode('utf-8', 'replace')!r}"
-        )
-    try:
-        stats = json.loads(response[1:])
-    except ValueError:
+    if doc.get("service") != "ClusterDispatcher" or not isinstance(
+        doc.get("stats"), dict
+    ):
         raise ProtocolError(f"service at {url} is not a cluster dispatcher")
-    if not isinstance(stats, dict):
-        raise ProtocolError(f"service at {url} is not a cluster dispatcher")
-    return stats
+    return doc["stats"]
 
 
 # ------------------------------------------------------------------- worker
@@ -592,10 +563,12 @@ def dispatcher_status(
 class ClusterWorker:
     """The worker agent: poll the dispatcher, run tasks, push results.
 
-    One persistent connection, serialised by a lock; a background thread
+    One persistent connection, serialised by its lock; a background thread
     heartbeats through it while the main loop is busy executing a task, so
-    long fits do not read as death.  A lost connection is retried (with a
-    fresh HELLO — the dispatcher hands out a new id) until the dispatcher
+    long fits do not read as death.  HELLO is the first exchange on every
+    fresh connection, and a lost connection forgets the worker id: it is
+    retried (with a fresh HELLO — the dispatcher hands out a new id) until
+    the dispatcher
     has been unreachable for ``reconnect_window`` seconds, at which point
     :meth:`run` returns; ``repro-chem cluster-work`` exposes the window as
     ``--idle-exit`` so fleets drain themselves after the run ends.
@@ -619,7 +592,10 @@ class ClusterWorker:
         retry_seed: object = None,
     ) -> None:
         self.host, self.port = parse_cluster_url(url)
-        self.url = f"{CLUSTER_URL_SCHEME}{self.host}:{self.port}"
+        self.connection = FrameConnection(
+            self.host, self.port, timeout=timeout, scheme=CLUSTER_URL_SCHEME
+        )
+        self.url = self.connection.url
         self.name = name or f"{socket.gethostname()}-{os.getpid()}"
         self.timeout = timeout
         self.poll_interval = poll_interval
@@ -638,15 +614,7 @@ class ClusterWorker:
             deadline=reconnect_window,
         )
         self.tasks_done = 0
-        self._io_lock = threading.Lock()
-        self._sock: Optional[socket.socket] = None
-        self._rfile = None
-        self._wfile = None
         self._worker_id: Optional[str] = None
-        # Dispatcher wire capabilities (None = not yet probed on this
-        # connection); probed lazily and only when tracing is active, so
-        # tracing-off wire behaviour is byte-identical to before.
-        self._caps: Optional[frozenset] = None
         self._stop = threading.Event()
 
     # ---------------------------------------------------------- connection
@@ -655,30 +623,11 @@ class ClusterWorker:
         """Ask the loop to exit after the in-flight task (thread-safe)."""
         self._stop.set()
 
-    def _teardown(self) -> None:
-        for closer in (self._rfile, self._wfile, self._sock):
-            if closer is not None:
-                try:
-                    closer.close()
-                except OSError:
-                    pass
-        self._sock = self._rfile = self._wfile = None
-        self._worker_id = None
-        self._caps = None
-
-    def _ensure_connected(self) -> None:
-        if self._sock is not None:
-            return
-        sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
-        sock.settimeout(self.timeout)
-        self._sock = sock
-        self._rfile = sock.makefile("rb")
-        self._wfile = sock.makefile("wb")
-        write_frame(self._wfile, _OP_HELLO + pack_str(self.name))
-        response = read_frame(self._rfile)
-        if response[:1] != _ST_OK:
-            raise ProtocolError("dispatcher refused registration")
-        self._worker_id, _ = unpack_str(response, 1)
+    def _drop(self) -> None:
+        """Drop the connection; the next request redials and re-registers."""
+        with self.connection.lock:
+            self.connection.close()
+            self._worker_id = None
 
     def _request(self, build: Callable[[str], bytes]) -> Optional[tuple[bytes, bytes]]:
         """One round trip (connecting + registering first if needed).
@@ -688,21 +637,21 @@ class ClusterWorker:
         connection.  Returns ``None`` on any transport failure, after
         tearing the connection down so the next call redials.
         """
-        with self._io_lock:
+        with self.connection.lock:
             try:
-                self._ensure_connected()
-                payload = build(self._worker_id)
-                context = obs_trace.wire_context()
-                if context is not None:
-                    if self._caps is None:
-                        self._caps = negotiate_caps(self._rfile, self._wfile)
-                    if "context" in self._caps:
-                        payload = wrap_context(payload, context)
-                write_frame(self._wfile, payload)
-                response = read_frame(self._rfile)
+                if not self.connection.connected:
+                    # Sent bare: registration precedes any caps probe.
+                    response = self.connection.request(
+                        _OP_HELLO + pack_str(self.name), traced=False
+                    )
+                    if response[:1] != _ST_OK:
+                        raise ProtocolError("dispatcher refused registration")
+                    self._worker_id, _ = unpack_str(response, 1)
+                response = self.connection.request(build(self._worker_id))
                 return response[:1], response[1:]
             except (OSError, ProtocolError):
-                self._teardown()
+                self.connection.close()
+                self._worker_id = None
                 return None
 
     # ---------------------------------------------------------------- loop
@@ -712,7 +661,7 @@ class ClusterWorker:
             # Only beat over an existing connection: the main loop owns
             # redialing, so a dead dispatcher costs one connect attempt per
             # poll, not two.
-            if self._sock is not None:
+            if self.connection.connected:
                 self._request(lambda wid: _OP_BEAT + pack_str(wid))
 
     def run(self) -> int:
@@ -747,19 +696,17 @@ class ClusterWorker:
                         # A garbled poll frame must not kill the worker:
                         # drop the connection and redial — the dispatcher
                         # will re-queue the task it thinks we took.
-                        with self._io_lock:
-                            self._teardown()
+                        self._drop()
                         continue
                     self._run_and_report(token, body[offset:])
                 elif status == _ST_ERR:
                     # "unknown worker": we were presumed dead — re-register.
-                    self._teardown()
+                    self._drop()
                 else:
                     self._stop.wait(self.poll_interval)
         finally:
             self._stop.set()
-            with self._io_lock:
-                self._teardown()
+            self._drop()
         return self.tasks_done
 
     def _run_and_report(self, token: str, blob: bytes) -> None:

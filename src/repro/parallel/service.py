@@ -40,8 +40,6 @@ import json
 import os
 import pickle
 import re
-import socket
-import struct
 import threading
 import time
 from typing import Any, Optional
@@ -51,17 +49,13 @@ from repro.parallel.resilience import HealthTracker, RetryPolicy, policy_rng
 from repro.parallel.wire import (
     DEFAULT_MAX_CONNECTIONS,
     DEFAULT_TIMEOUT,
-    LEN,
     MAX_FRAME,
+    FrameConnection,
     FrameService,
     ProtocolError,
-    negotiate_caps,
     pack_str,
     parse_hostport_url,
-    read_frame,
     unpack_str,
-    wrap_context,
-    write_frame,
 )
 from repro.parallel.store import (
     _MAGIC,
@@ -77,13 +71,6 @@ from repro.parallel.store import (
 __all__ = ["MemoServer", "RemoteMemoStore", "parse_memo_url", "PROTOCOL_VERSION"]
 
 PROTOCOL_VERSION = 1
-
-# Framing contract lives in repro.parallel.wire (shared with repro.serve);
-# the historical private names stay importable for existing callers/tests.
-_LEN = LEN
-_MAX_FRAME = MAX_FRAME
-_pack_str = pack_str
-_unpack_str = unpack_str
 
 # Request opcodes.
 _OP_GET = b"G"
@@ -107,9 +94,6 @@ _PING_BANNER = f"repro-memo/{PROTOCOL_VERSION}".encode("ascii")
 _NAMESPACE_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]{0,63}$")
 _DIGEST_RE = re.compile(r"^[0-9a-f]{6,64}$")
 _TOKEN_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]{0,63}$")
-
-
-_ProtocolError = ProtocolError
 
 
 def parse_memo_url(url: str) -> tuple[str, int]:
@@ -156,10 +140,6 @@ class MemoServer(FrameService):
             host=host, port=port, timeout=timeout, max_connections=max_connections
         )
 
-    def __enter__(self) -> "MemoServer":
-        self.start()
-        return self
-
     def stats(self) -> dict:
         """Aggregated cross-process view of the served store.
 
@@ -170,18 +150,6 @@ class MemoServer(FrameService):
         return self.store.aggregated_stats()
 
     # -------------------------------------------------------------- dispatch
-
-    def _handle_frame(self, request: bytes) -> bytes:
-        try:
-            status, body = self._dispatch(request)
-        except ProtocolError:
-            status, body = _ST_ERR, b"malformed request"
-        except Exception:
-            status, body = _ST_ERR, b"internal error"
-        return status + body
-
-    def _internal_error_frame(self) -> bytes:
-        return _ST_ERR + b"internal error"
 
     def _dispatch(self, request: bytes) -> tuple[bytes, bytes]:
         op = request[:1]
@@ -196,7 +164,7 @@ class MemoServer(FrameService):
         if op == _OP_SNAP:
             token, offset = unpack_str(request, 1)
             if not _TOKEN_RE.match(token):
-                raise _ProtocolError("bad snapshot token")
+                raise ProtocolError("bad snapshot token")
             snapshot = request[offset:]
             json.loads(snapshot)  # reject unparseable snapshots at the door
             ok = self.store.write_snapshot(token, snapshot)
@@ -214,18 +182,18 @@ class MemoServer(FrameService):
             return (_ST_OK, b"")
         if op == _OP_PING:
             return (_ST_OK, _PING_BANNER)
-        raise _ProtocolError(f"unknown opcode {op!r}")
+        raise ProtocolError(f"unknown opcode {op!r}")
 
     @staticmethod
     def _parse_object_fields(request: bytes, *, expect_blob: bool) -> Any:
         namespace, offset = unpack_str(request, 1)
         digest, offset = unpack_str(request, offset)
         if not _NAMESPACE_RE.match(namespace) or not _DIGEST_RE.match(digest):
-            raise _ProtocolError("bad namespace or digest")
+            raise ProtocolError("bad namespace or digest")
         if expect_blob:
             return namespace, digest, request[offset:]
         if offset != len(request):
-            raise _ProtocolError("trailing bytes after GET fields")
+            raise ProtocolError("trailing bytes after GET fields")
         return namespace, digest
 
 
@@ -256,7 +224,12 @@ class RemoteMemoStore:
         retry_seed: object = None,
     ) -> None:
         self.host, self.port = parse_memo_url(url)
-        self.url = f"{MEMO_URL_SCHEME}{self.host}:{self.port}"
+        #: The server connection; its ``caps`` are probed lazily, and only
+        #: when tracing is active.
+        self.connection = FrameConnection(
+            self.host, self.port, timeout=timeout, scheme=MEMO_URL_SCHEME
+        )
+        self.url = self.connection.url
         self.timeout = timeout
         self.retry_delay = retry_delay
         self._rng = policy_rng(retry_seed)
@@ -269,15 +242,6 @@ class RemoteMemoStore:
             ),
             rng=self._rng,
         )
-        self._sock: Optional[socket.socket] = None
-        self._rfile = None
-        self._wfile = None
-        # Wire capabilities of the connected server (None = not yet probed
-        # on this connection).  Probed lazily, and only when tracing is
-        # active — so tracing-off wire behaviour is byte-identical to
-        # before trace propagation existed.
-        self._caps: Optional[frozenset] = None
-        self._conn_lock = threading.Lock()
         self._counter_lock = threading.Lock()
         self._last_flush = 0.0
         self.hits = 0
@@ -292,27 +256,10 @@ class RemoteMemoStore:
         """The ``memo://`` URL (what workers are initialised with)."""
         return self.url
 
-    def _connect(self) -> None:
-        sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
-        sock.settimeout(self.timeout)
-        self._sock = sock
-        self._rfile = sock.makefile("rb")
-        self._wfile = sock.makefile("wb")
-
-    def _teardown(self) -> None:
-        for closer in (self._rfile, self._wfile, self._sock):
-            if closer is not None:
-                try:
-                    closer.close()
-                except OSError:
-                    pass
-        self._sock = self._rfile = self._wfile = None
-        self._caps = None
-
     def close(self) -> None:
         """Drop the connection (the store stays usable; it reconnects lazily)."""
-        with self._conn_lock:
-            self._teardown()
+        with self.connection.lock:
+            self.connection.close()
 
     def _request(self, payload: bytes) -> Optional[tuple[bytes, bytes]]:
         """One request/response round trip, or ``None`` on any failure.
@@ -327,38 +274,24 @@ class RemoteMemoStore:
         per window, not per operation, so even a many-thousand-op sweep
         stalls for bounded time.
         """
-        if len(payload) > _MAX_FRAME:
+        if len(payload) > MAX_FRAME:
             # One oversized value must fail alone (a local error for the
             # caller), not tear the connection down and poison the
             # back-off window for every other key.
             return None
-        with self._conn_lock:
+        with self.connection.lock:
             if not (
                 self.circuits.routable(self.url)
                 or self.circuits.claim_probe(self.url)
             ):
                 return None
-            for attempt in (0, 1):
+            for _attempt in (0, 1):
                 try:
-                    if self._sock is None:
-                        self._connect()
-                    wire_payload = payload
-                    context = obs_trace.wire_context()
-                    if context is not None:
-                        if self._caps is None:
-                            self._caps = negotiate_caps(self._rfile, self._wfile)
-                        if "context" in self._caps:
-                            wire_payload = wrap_context(payload, context)
-                    t0 = time.perf_counter()
-                    write_frame(self._wfile, wire_payload)
-                    response = read_frame(self._rfile)
-                    if not response:
-                        raise _ProtocolError("empty response")
-                    obs_trace.annotate("memo_wait", time.perf_counter() - t0)
-                    self.circuits.record_success(self.url)
-                    return response[:1], response[1:]
-                except (OSError, _ProtocolError, struct.error):
-                    self._teardown()
+                    response = self.connection.request(payload)
+                except (OSError, ProtocolError):
+                    continue
+                self.circuits.record_success(self.url)
+                return response[:1], response[1:]
             self.circuits.record_failure(self.url)
             return None
 
@@ -394,7 +327,7 @@ class RemoteMemoStore:
         self._check_namespace(namespace)
         try:
             request = _OP_GET + pack_str(namespace) + pack_str(key_digest(key))
-        except _ProtocolError:
+        except ProtocolError:
             self._count(misses=1, errors=1)
             return default
         with obs_trace.span("memo.get", tags={"namespace": namespace}):

@@ -9,12 +9,13 @@ Strings inside a frame are ``!H`` length-prefixed.  Frames above
 must read as a protocol error, never as a multi-gigabyte allocation.
 
 This module is the single source of truth for that contract: the frame
-read/write helpers, the size guard, and the server scaffolding (a
+read/write helpers, the size guard, the server scaffolding (a
 ``ThreadingTCPServer`` that tracks open connections so shutdown severs them
-like a real process kill, plus the request-loop handler) live here and are
-consumed by every framed service (memo, serve, and the cluster
-dispatcher).  Anything protocol-*semantic* — opcodes, status bytes, body
-encodings, failure policies — stays with each service.
+like a real process kill, plus the request-loop handler) and the client
+connection (:class:`FrameConnection`) live here and are consumed by every
+framed service (memo, serve, and the cluster dispatcher) and its clients.
+Anything protocol-*semantic* — opcodes, status bytes, body encodings,
+failure policies — stays with each service.
 
 Two robustness guards protect the thread-per-connection model itself:
 
@@ -64,6 +65,7 @@ __all__ = [
     "wrap_context",
     "split_context",
     "negotiate_caps",
+    "FrameConnection",
     "fetch_telemetry",
     "parse_hostport_url",
     "FrameService",
@@ -240,6 +242,98 @@ def negotiate_caps(rfile, wfile) -> frozenset:
     return frozenset(str(cap) for cap in caps)
 
 
+class FrameConnection:
+    """One lazily dialled client connection to a framed service.
+
+    Every wire client (``RemoteMemoStore``, ``ServeClient``,
+    ``ClusterWorker``, :func:`fetch_telemetry`) composes its own retry and
+    circuit policy around this one round trip:
+
+    * the socket is dialled on first use and after any failure, with
+      :attr:`timeout` on the connect and on every read;
+    * only while a trace context is live, the peer's extensions are
+      probed once per connection (:attr:`caps`) and the request rides the
+      context envelope if the peer speaks it — tracing off sends the
+      plain frames;
+    * the round trip is charged to the live span as a ``<scheme>_wait``
+      hop (``memo_wait``, ``serve_wait``, ``cluster_wait``);
+    * ``OSError``/:class:`ProtocolError` (``struct.error`` surfaces as
+      the latter) tears the connection down and propagates.
+
+    :attr:`lock` serialises whole exchanges; callers take it, never this
+    class.
+    """
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        *,
+        timeout: Optional[float] = 5.0,
+        scheme: Optional[str] = None,
+    ) -> None:
+        self.host, self.port = host, port
+        self.url = f"{scheme or ''}{host}:{port}"
+        self.timeout = timeout
+        self.lock = threading.Lock()
+        #: Wire extensions of the connected peer; ``None`` until probed on
+        #: this connection (and again after every teardown).
+        self.caps: Optional[frozenset] = None
+        self._hop = f"{scheme.split(':', 1)[0]}_wait" if scheme else None
+        self._sock: Optional[socket.socket] = None
+        self._rfile = None
+        self._wfile = None
+
+    @property
+    def connected(self) -> bool:
+        return self._sock is not None
+
+    def request(self, payload: bytes, *, traced: bool = True) -> bytes:
+        """One request/response round trip; returns the full response frame.
+
+        ``traced=False`` sends the payload bare even when a span is live —
+        for exchanges the server must see unwrapped (HELLO, TELEMETRY).
+        """
+        try:
+            if self._sock is None:
+                sock = socket.create_connection(
+                    (self.host, self.port), timeout=self.timeout
+                )
+                sock.settimeout(self.timeout)
+                self._sock = sock
+                self._rfile = sock.makefile("rb")
+                self._wfile = sock.makefile("wb")
+            context = obs_trace.wire_context() if traced else None
+            if context is not None:
+                if self.caps is None:
+                    self.caps = negotiate_caps(self._rfile, self._wfile)
+                if "context" in self.caps:
+                    payload = wrap_context(payload, context)
+            t0 = time.perf_counter()
+            write_frame(self._wfile, payload)
+            response = read_frame(self._rfile)
+        except (OSError, ProtocolError):
+            self.close()
+            raise
+        except struct.error as exc:
+            self.close()
+            raise ProtocolError(f"unframeable payload: {exc}") from exc
+        if self._hop is not None:
+            obs_trace.annotate(self._hop, time.perf_counter() - t0)
+        return response
+
+    def close(self) -> None:
+        """Drop the socket (idempotent); the next :meth:`request` redials."""
+        for closer in (self._rfile, self._wfile, self._sock):
+            if closer is not None:
+                try:
+                    closer.close()
+                except OSError:
+                    pass
+        self._sock = self._rfile = self._wfile = None
+        self.caps = None
+
+
 def fetch_telemetry(host: str, port: int, *, timeout: float = 5.0) -> dict[str, Any]:
     """One-shot telemetry scrape from any framed repro service.
 
@@ -248,11 +342,11 @@ def fetch_telemetry(host: str, port: int, *, timeout: float = 5.0) -> dict[str, 
     :class:`ProtocolError` when the peer refuses the opcode (an old build)
     or returns junk — callers map both onto clean non-zero exits.
     """
-    with socket.create_connection((host, port), timeout=timeout) as sock:
-        sock.settimeout(timeout)
-        with sock.makefile("rb") as rfile, sock.makefile("wb") as wfile:
-            write_frame(wfile, OP_TELEMETRY)
-            response = read_frame(rfile)
+    conn = FrameConnection(host, port, timeout=timeout)
+    try:
+        response = conn.request(OP_TELEMETRY, traced=False)
+    finally:
+        conn.close()
     if response[:1] != b"+":
         raise ProtocolError(
             "peer refused telemetry (pre-observability build?): "
@@ -397,7 +491,8 @@ class _TrackingTCPServer(socketserver.ThreadingTCPServer):
 class FrameService:
     """Lifecycle scaffolding for a thread-per-connection framed TCP service.
 
-    Subclasses implement :meth:`_handle_frame` (request frame -> response
+    Subclasses implement :meth:`_dispatch` (request frame -> ``(status,
+    body)``; or override :meth:`_handle_frame` for the whole response
     frame) and set :attr:`scheme` so :attr:`url` renders the right URL
     flavour.  ``port=0`` binds an ephemeral port (see :attr:`port`/:attr:`url`
     for the actual address) — what in-process tests use.
@@ -626,7 +721,22 @@ class FrameService:
         """Hook called after a traced frame finishes (slow-log lives here)."""
 
     def _handle_frame(self, request: bytes) -> bytes:
-        """Map one request frame to one response frame (status + body)."""
+        """Map one request frame to one response frame (status + body).
+
+        A :class:`ProtocolError` out of :meth:`_dispatch` answers
+        ``!malformed request``; any other exception answers
+        :meth:`_internal_error_frame` — the connection stays up either way.
+        """
+        try:
+            status, body = self._dispatch(request)
+        except ProtocolError:
+            return b"!malformed request"
+        except Exception:
+            return self._internal_error_frame()
+        return status + body
+
+    def _dispatch(self, request: bytes) -> tuple[bytes, bytes]:
+        """Answer one request payload as ``(status_byte, body)``."""
         raise NotImplementedError
 
     def _internal_error_frame(self) -> bytes:

@@ -55,8 +55,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import socket
-import struct
 import threading
 import time
 from typing import Any, Iterable, Optional, Sequence, Union
@@ -72,13 +70,10 @@ from repro.parallel.resilience import (
 )
 from repro.parallel.wire import (
     MAX_FRAME,
+    FrameConnection,
     ProtocolError,
     fetch_telemetry,
-    negotiate_caps,
     parse_hostport_url,
-    read_frame,
-    wrap_context,
-    write_frame,
 )
 from repro.serve.server import (
     OP_ASK,
@@ -130,37 +125,6 @@ def parse_serve_url(url: str) -> tuple[str, int]:
     return parse_hostport_url(url, SERVE_URL_SCHEME)
 
 
-class _Replica:
-    """One replica's connection state: socket, lock, request counter.
-
-    Health (circuit state, backoff windows) lives in the client's shared
-    :class:`~repro.parallel.resilience.HealthTracker`, keyed by URL.
-    """
-
-    def __init__(self, url: str) -> None:
-        self.host, self.port = parse_serve_url(url)
-        self.url = f"{SERVE_URL_SCHEME}{self.host}:{self.port}"
-        self.sock: Optional[socket.socket] = None
-        self.rfile = None
-        self.wfile = None
-        self.lock = threading.Lock()
-        self.requests = 0
-        # Wire extensions this connection's peer speaks; None = not yet
-        # probed.  Probing happens lazily, and only when tracing is on —
-        # with tracing off the client's bytes are identical to PR 9.
-        self.caps: Optional[frozenset] = None
-
-    def teardown(self) -> None:
-        for closer in (self.rfile, self.wfile, self.sock):
-            if closer is not None:
-                try:
-                    closer.close()
-                except OSError:
-                    pass
-        self.sock = self.rfile = self.wfile = None
-        self.caps = None
-
-
 class ServeClient:
     """Blocking client for a serve server, or a fleet of replicas.
 
@@ -184,24 +148,25 @@ class ServeClient:
             urls: Iterable[str] = url.split(",")
         else:
             urls = url
-        seen: dict[str, None] = {}
-        replicas = []
+        replicas: dict[str, FrameConnection] = {}
         for u in urls:
             u = u.strip()
             if not u:
                 continue
-            replica = _Replica(u)
-            if replica.url in seen:
-                continue
-            seen[replica.url] = None
-            replicas.append(replica)
+            replica = FrameConnection(
+                *parse_serve_url(u), timeout=timeout, scheme=SERVE_URL_SCHEME
+            )
+            replicas.setdefault(replica.url, replica)
         if not replicas:
             raise ValueError("ServeClient needs at least one serve:// URL.")
-        self._replicas = replicas
-        self.urls = [r.url for r in replicas]
+        #: One connection per replica, in URL order.  Health (circuit
+        #: state, backoff windows) lives in :attr:`circuits`, keyed by URL.
+        self.connections = list(replicas.values())
+        self.urls = list(replicas)
+        self._requests = dict.fromkeys(self.urls, 0)
         # Back-compat: the single-server surface everyone already uses.
-        self.url = replicas[0].url
-        self.host, self.port = replicas[0].host, replicas[0].port
+        self.url = self.urls[0]
+        self.host, self.port = self.connections[0].host, self.connections[0].port
         self.timeout = timeout
         self.retry_delay = retry_delay
         self._rng = policy_rng(retry_seed)
@@ -224,8 +189,8 @@ class ServeClient:
             ),
             rng=self._rng,
         )
-        for replica in replicas:  # pre-register: stats show every replica
-            self.circuits.state(replica.url)
+        for url in self.urls:  # pre-register: stats show every replica
+            self.circuits.state(url)
         self._ring_cache: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         self._fleet_lock = threading.Lock()
         self._failovers = 0
@@ -246,7 +211,7 @@ class ServeClient:
         if ring is None:
             ring = []
             for idx in indices:
-                url = self._replicas[idx].url
+                url = self.connections[idx].url
                 for vnode in range(_VNODES):
                     point = int.from_bytes(
                         hashlib.sha1(
@@ -263,7 +228,7 @@ class ServeClient:
         """Replicas whose circuit is closed; all of them when none is."""
         active = tuple(
             idx
-            for idx, replica in enumerate(self._replicas)
+            for idx, replica in enumerate(self.connections)
             if self.circuits.routable(replica.url)
         )
         if active:
@@ -271,7 +236,7 @@ class ServeClient:
         # Whole fleet tripped: route over everyone — attempts fail fast
         # against open circuits but carry proper per-replica errors, and
         # half-open probes get their chance below.
-        return tuple(range(len(self._replicas)))
+        return tuple(range(len(self.connections)))
 
     def _route(self, key: bytes) -> list[int]:
         """Replica indices in preference order for this request key.
@@ -312,7 +277,7 @@ class ServeClient:
         """
         probes = [
             idx
-            for idx, replica in enumerate(self._replicas)
+            for idx, replica in enumerate(self.connections)
             if self.circuits.claim_probe(replica.url)
         ]
         order = [(idx, True) for idx in probes]
@@ -325,9 +290,9 @@ class ServeClient:
 
     def close(self) -> None:
         """Drop all connections (the client stays usable; reconnects lazily)."""
-        for replica in self._replicas:
+        for replica in self.connections:
             with replica.lock:
-                replica.teardown()
+                replica.close()
 
     def __enter__(self) -> "ServeClient":
         return self
@@ -335,17 +300,8 @@ class ServeClient:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    def _connect(self, replica: _Replica) -> None:
-        sock = socket.create_connection(
-            (replica.host, replica.port), timeout=self.timeout
-        )
-        sock.settimeout(self.timeout)
-        replica.sock = sock
-        replica.rfile = sock.makefile("rb")
-        replica.wfile = sock.makefile("wb")
-
     def _request_replica(
-        self, replica: _Replica, payload: bytes, *, probe: bool = False
+        self, replica: FrameConnection, payload: bytes, *, probe: bool = False
     ) -> tuple[bytes, bytes]:
         """One round trip to one replica; ``ServeUnavailableError`` on failure.
 
@@ -360,31 +316,17 @@ class ServeClient:
                     f"serve server {replica.url} is down "
                     f"(circuit open; backing off {remaining:.1f}s)"
                 )
-            replica.requests += 1
-            for attempt in (0, 1):
+            self._requests[replica.url] += 1
+            for _attempt in (0, 1):
+                # Trace context is attached at *send* time (by the
+                # connection), never in the routing key: per-request trace
+                # ids must not scatter the consistent-hash ring.
                 try:
-                    if replica.sock is None:
-                        self._connect(replica)
-                    # Trace context is attached at *send* time, never in
-                    # the routing key: per-request trace ids must not
-                    # scatter the consistent-hash ring.  Old peers (no
-                    # "context" cap) get the bare payload — that is the
-                    # mixed-fleet contract.
-                    wire_payload = payload
-                    context = obs_trace.wire_context()
-                    if context is not None:
-                        if replica.caps is None:
-                            replica.caps = negotiate_caps(
-                                replica.rfile, replica.wfile
-                            )
-                        if "context" in replica.caps:
-                            wire_payload = wrap_context(payload, context)
-                    write_frame(replica.wfile, wire_payload)
-                    response = read_frame(replica.rfile)
-                    self.circuits.record_success(replica.url)
-                    return response[:1], response[1:]
-                except (OSError, ProtocolError, struct.error):
-                    replica.teardown()
+                    response = replica.request(payload)
+                except (OSError, ProtocolError):
+                    continue
+                self.circuits.record_success(replica.url)
+                return response[:1], response[1:]
             self.circuits.record_failure(replica.url)
             remaining = self.circuits.open_remaining(replica.url)
             raise ServeUnavailableError(
@@ -392,15 +334,7 @@ class ServeClient:
                 f"(retried once; backing off {remaining:.1f}s)"
             )
 
-    def _request(self, payload: bytes) -> tuple[bytes, bytes]:
-        """One fleet-routed round trip (raw status + body, no failover).
-
-        Kept for the handshake path (``ping``) and tests; ``_call`` layers
-        failover and retry rounds on top.
-        """
-        return self._request_replica(self._replicas[self._route(payload)[0]], payload)
-
-    def _bad_response(self, replica: _Replica, reason: str) -> ServeUnavailableError:
+    def _bad_response(self, replica: FrameConnection, reason: str) -> ServeUnavailableError:
         """A decodable-frame-undecodable-body reply: count it as a failure.
 
         The frame round trip succeeded (so ``_request_replica`` recorded a
@@ -426,7 +360,7 @@ class ServeClient:
             while True:
                 last_error: Optional[ServeError] = None
                 for position, (idx, probe) in enumerate(self._order(payload)):
-                    replica = self._replicas[idx]
+                    replica = self.connections[idx]
                     if position > 0:
                         with self._fleet_lock:
                             self._failovers += 1
@@ -539,7 +473,7 @@ class ServeClient:
 
     def ping(self) -> bool:
         """True when any replica answers the protocol handshake."""
-        for replica in self._replicas:
+        for replica in self.connections:
             try:
                 # probe=True: a ping must touch the real socket even when
                 # the circuit is open — and its outcome heals the circuit.
@@ -562,14 +496,15 @@ class ServeClient:
             failovers, overloaded = self._failovers, self._overloaded
             retry_rounds = self._retry_rounds
         health = self.circuits.snapshot()
+        requests = dict(self._requests)
         replicas = {}
-        for r in self._replicas:
-            info = dict(health.get(r.url, {}))
-            info["requests"] = r.requests
-            replicas[r.url] = info
+        for url in self.urls:
+            info = dict(health.get(url, {}))
+            info["requests"] = requests[url]
+            replicas[url] = info
         return {
             "urls": list(self.urls),
-            "requests": {r.url: r.requests for r in self._replicas},
+            "requests": requests,
             "failovers": failovers,
             "overloaded": overloaded,
             "retry_rounds": retry_rounds,
@@ -586,7 +521,7 @@ class ServeClient:
         per replica, so the scrape never perturbs the request sockets.
         """
         out: dict[str, dict] = {}
-        for replica in self._replicas:
+        for replica in self.connections:
             try:
                 out[replica.url] = fetch_telemetry(
                     replica.host,

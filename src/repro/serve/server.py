@@ -335,10 +335,6 @@ class ServeServer(FrameService):
                 hosted.close()
             raise
 
-    def __enter__(self) -> "ServeServer":
-        self.start()
-        return self
-
     def shutdown(self) -> None:
         super().shutdown()
         for hosted in self._all_hosted():
@@ -365,17 +361,14 @@ class ServeServer(FrameService):
 
     def _handle_frame(self, request: bytes) -> bytes:
         try:
-            body = self._dispatch(request)
-            return ST_OK + body
+            status, body = self._dispatch(request)
+            return status + body
         except (_RequestError, ProtocolError) as exc:
             self._c_errors.inc()
             return ST_ERR + str(exc).encode("utf-8", "replace")
         except Exception:
             self._c_errors.inc()
             return self._internal_error_frame()
-
-    def _internal_error_frame(self) -> bytes:
-        return ST_ERR + b"internal error"
 
     def _force_frame_spans(self) -> bool:
         # --slow-ms needs per-frame spans to measure against even when
@@ -427,18 +420,18 @@ class ServeServer(FrameService):
     def _op_label(self, payload: bytes) -> str:
         return _OP_NAMES.get(payload[:1]) or repr(payload[:1])
 
-    def _dispatch(self, request: bytes) -> bytes:
+    def _dispatch(self, request: bytes) -> tuple[bytes, bytes]:
         op = request[:1]
         name = _OP_NAMES.get(op)
         if name is None:
             raise _RequestError(f"unknown opcode {op!r}")
         self._op_counters[name].inc()
         if op == OP_PING:
-            return PING_BANNER
+            return ST_OK, PING_BANNER
         if op == OP_HEALTH:
-            return self._json(self._health())
+            return ST_OK, self._json(self._health())
         if op == OP_STATS:
-            return self._json(self.stats())
+            return ST_OK, self._json(self.stats())
         fields = self._parse_body(request[1:])
         # Admission control: model-work endpoints only — health/stats/ping
         # must stay answerable from an overloaded server.
@@ -449,8 +442,8 @@ class ServeServer(FrameService):
             )
         try:
             if op == OP_PREDICT:
-                return self._json(self._predict(fields))
-            return self._json(self._ask(fields))
+                return ST_OK, self._json(self._predict(fields))
+            return ST_OK, self._json(self._ask(fields))
         finally:
             with self._counter_lock:
                 self._inflight -= 1

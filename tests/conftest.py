@@ -4,11 +4,31 @@ CCSD datasets so the whole suite runs in a couple of minutes.
 
 from __future__ import annotations
 
+import os
+import random
+
 import numpy as np
 import pytest
 
 from repro.data.datasets import CCSDDataset, build_dataset
 from repro.simulator.dataset_gen import SweepConfig
+
+#: Set to any string to run the collected tests in a seeded random order
+#: (the order-dependence soak); unset keeps the collection order.
+SHUFFLE_SEED_ENV = "REPRO_TEST_SHUFFLE_SEED"
+
+
+def pytest_report_header(config):
+    seed = os.environ.get(SHUFFLE_SEED_ENV, "").strip()
+    if seed:
+        return f"test order shuffled: {SHUFFLE_SEED_ENV}={seed}"
+    return None
+
+
+def pytest_collection_modifyitems(session, config, items):
+    seed = os.environ.get(SHUFFLE_SEED_ENV, "").strip()
+    if seed:
+        random.Random(seed).shuffle(items)
 
 
 @pytest.fixture(scope="session")
@@ -17,7 +37,7 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture(scope="session")
-def session_memo_dir(request):
+def session_memo_dir(request, tmp_path_factory):
     """A memo-store directory that outlives the pytest session.
 
     Lives in pytest's own cache (``.pytest_cache``), so warm reruns of
@@ -26,9 +46,14 @@ def session_memo_dir(request):
     Memo keys embed the full experimental content (grids, cv, seed, data
     bytes), so config edits invalidate naturally; ``pytest --cache-clear``
     forces a cold run, and CI keys its cache of this directory on the
-    source tree so code changes never serve stale fits.
+    source tree so code changes never serve stale fits.  Without the cache
+    plugin (``-p no:cacheprovider``) it is a per-session temporary
+    directory, so every run is cold.
     """
-    return request.config.cache.mkdir("repro-memo-store")
+    cache = getattr(request.config, "cache", None)
+    if cache is None:
+        return tmp_path_factory.mktemp("repro-memo-store")
+    return cache.mkdir("repro-memo-store")
 
 
 @pytest.fixture(scope="session")

@@ -62,6 +62,19 @@ class TestServeProtocol:
         assert all(v >= 0.0 for v in frame["hops"].values())
         assert frame["duration_s"] >= max(frame["hops"].values(), default=0.0)
 
+    def test_call_span_records_serve_wait_hop(self, tiny_advisor, probe_X):
+        configure_tracing(enabled=True)
+        with ServeServer({"default": tiny_advisor}) as srv:
+            client = ServeClient(srv.url)
+            try:
+                client.predict(probe_X)
+            finally:
+                client.close()
+        calls = _find(recent_spans(500), "serve.call")
+        assert calls, "no serve.call span recorded"
+        assert calls[-1]["hops"].get("serve_wait", 0.0) > 0.0
+        assert calls[-1]["duration_s"] >= calls[-1]["hops"]["serve_wait"]
+
     def test_tracing_changes_no_answered_byte(self, tiny_advisor, probe_X):
         with ServeServer({"default": tiny_advisor}) as srv:
             client = ServeClient(srv.url)
@@ -89,7 +102,7 @@ class TestServeProtocol:
             try:
                 traced = client.predict(probe_X)
                 # Caps negotiation discovered the peer speaks no extension.
-                assert client._replicas[0].caps == frozenset()
+                assert client.connections[0].caps == frozenset()
             finally:
                 client.close()
         untraced_server = ServeServer({"default": tiny_advisor})
@@ -143,7 +156,7 @@ class TestMemoProtocol:
                 assert store.get("ns", "key") == "value"
                 # No tracing: the caps probe never ran, so the wire
                 # behaviour is byte-identical to the pre-PR 10 client.
-                assert store._caps is None
+                assert store.connection.caps is None
             finally:
                 store.close()
             srv.shutdown()
@@ -177,6 +190,8 @@ class TestClusterProtocol:
         task_spans = _find(spans, "cluster.task")
         assert len(task_spans) == 3
         assert all(s["tags"]["ok"] for s in task_spans)
+        # Each task span carries the wait of the result frame it reported.
+        assert all(s["hops"].get("cluster_wait", 0.0) > 0.0 for s in task_spans)
         _assert_linked(spans, "cluster.task", "cluster.frame")
 
     def test_parallel_map_records_a_span(self):

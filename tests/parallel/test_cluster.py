@@ -48,7 +48,7 @@ from repro.parallel.executors import (
     available_executors,
     get_executor,
 )
-from repro.parallel.wire import pack_str, read_frame, write_frame
+from repro.parallel.wire import ProtocolError, pack_str, read_frame, write_frame
 
 
 @pytest.fixture(autouse=True)
@@ -298,7 +298,7 @@ def _spawn_worker(url, name, *, extra_pythonpath=None, heartbeat_interval=0.2):
 
 
 class TestDispatcherStatus:
-    """The STATS observer opcode and the ``cluster-status`` CLI verb."""
+    """The observer read (telemetry stats) and the ``cluster-status`` CLI verb."""
 
     def test_status_reads_live_counters_from_outside(self):
         dispatcher = ensure_dispatcher("cluster://127.0.0.1:0")
@@ -320,6 +320,28 @@ class TestDispatcherStatus:
             cluster_mod.dispatcher_status(
                 f"cluster://127.0.0.1:{free_port}", timeout=1.0
             )
+
+    def test_legacy_stats_opcode_still_answers(self):
+        # Older cluster-status clients send the STATS opcode, not TELEMETRY.
+        import json as json_mod
+
+        dispatcher = ensure_dispatcher("cluster://127.0.0.1:0")
+        address = (dispatcher.host, dispatcher.port)
+        with socket.create_connection(address, timeout=5.0) as sock:
+            with sock.makefile("rb") as rfile, sock.makefile("wb") as wfile:
+                write_frame(wfile, b"S")
+                response = read_frame(rfile)
+        assert response[:1] == b"+"
+        assert json_mod.loads(response[1:]) == dispatcher.stats()
+
+    def test_other_framed_service_is_a_protocol_error(self, tmp_path):
+        from repro.parallel.service import MemoServer
+
+        with MemoServer(tmp_path / "memo") as memo:
+            with pytest.raises(ProtocolError, match="not a cluster dispatcher"):
+                cluster_mod.dispatcher_status(
+                    f"cluster://{memo.host}:{memo.port}", timeout=2.0
+                )
 
     def test_cli_verb_prints_stats_json(self):
         import json as json_mod

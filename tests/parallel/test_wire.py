@@ -139,18 +139,32 @@ class TestHostileClients:
     @pytest.fixture()
     def echo(self):
         with _EchoService(timeout=self.TIMEOUT, max_connections=4) as service_:
+            # Threads alive before any client connects: whatever starts
+            # after this snapshot is one of the service's handler threads.
+            service_.threads_before = set(threading.enumerate())
             yield service_
+
+    @staticmethod
+    def _handler_threads(echo):
+        """The echo service's connection-handler threads started so far."""
+        return [
+            t
+            for t in threading.enumerate()
+            if t not in echo.threads_before and "process_request" in t.name
+        ]
 
     def _assert_reclaimed(self, echo, sock):
         # The handler thread exists while the connection is open...
         assert _wait_until(lambda: echo.open_connections == 1)
-        baseline = threading.active_count()
+        assert _wait_until(lambda: len(self._handler_threads(echo)) == 1)
+        (handler,) = self._handler_threads(echo)
         # ...and once the timeout fires the server must close the
         # connection (our end sees EOF) and reclaim the thread.
         sock.settimeout(self.TIMEOUT * 8)
         assert sock.recv(1) == b""
         assert _wait_until(lambda: echo.open_connections == 0)
-        assert _wait_until(lambda: threading.active_count() < baseline)
+        handler.join(timeout=5.0)
+        assert not handler.is_alive()
 
     def test_silent_connection_is_reclaimed(self, echo):
         with socket.create_connection((echo.host, echo.port), timeout=5.0) as sock:
@@ -183,19 +197,19 @@ class TestHostileClients:
                 assert _healthy_echo(echo, b"still-serving") == b"+still-serving"
 
     def test_no_thread_outlives_its_connection_by_more_than_timeout(self, echo):
-        baseline = threading.active_count()
+        # Tracks the identities of this service's handler threads, not the
+        # process-wide thread count, which threads of other suites can move.
         socks = [
             socket.create_connection((echo.host, echo.port), timeout=5.0)
             for _ in range(3)
         ]
         try:
-            assert _wait_until(lambda: threading.active_count() >= baseline + 3)
+            assert _wait_until(lambda: len(self._handler_threads(echo)) == 3)
+            handlers = self._handler_threads(echo)
             deadline = time.monotonic() + self.TIMEOUT * 8
-            while time.monotonic() < deadline:
-                if threading.active_count() <= baseline:
-                    break
-                time.sleep(0.02)
-            assert threading.active_count() <= baseline
+            for handler in handlers:
+                handler.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert not any(handler.is_alive() for handler in handlers)
         finally:
             for sock in socks:
                 sock.close()
@@ -263,20 +277,71 @@ class TestShedFrame:
         assert wire.FrameService._shed_frame(_EchoService.__new__(_EchoService)) is None
 
 
+class TestFrameConnection:
+    """The one client connection every wire client composes around."""
+
+    def test_lazy_dial_caps_only_when_traced_and_teardown(self, monkeypatch):
+        from repro.obs import trace as obs_trace
+
+        monkeypatch.delenv(obs_trace.TRACE_DIR_ENV, raising=False)
+        echo = _EchoService(timeout=5.0).start()
+        conn = wire.FrameConnection(echo.host, echo.port, scheme="echo://")
+        try:
+            assert not conn.connected and conn.url == echo.url
+            assert conn.request(b"plain") == b"+plain"  # tracing off: no probe
+            assert conn.connected and conn.caps is None
+            obs_trace.configure_tracing(enabled=True)
+            with obs_trace.span("client") as live:
+                assert conn.request(b"bare", traced=False) == b"+bare"
+                assert conn.caps is None
+                # Traced: caps probed once, envelope peeled by the server.
+                assert conn.request(b"wrapped") == b"+wrapped"
+                assert conn.caps == frozenset(wire.WIRE_CAPS)
+            assert live.hops["echo_wait"] > 0.0
+            echo.shutdown()
+            with pytest.raises((OSError, ProtocolError)):
+                conn.request(b"gone")
+            assert not conn.connected and conn.caps is None
+        finally:
+            obs_trace.reset_tracing()
+            conn.close()
+            echo.shutdown()
+
+
 class TestSingleSourceOfTruth:
     def test_memo_service_consumes_wire(self):
-        # The memo service's historical private names must be the wire
-        # objects themselves, not drifted copies of the framing contract.
-        assert service._LEN is wire.LEN
-        assert service._MAX_FRAME == wire.MAX_FRAME
-        assert service._pack_str is wire.pack_str
-        assert service._ProtocolError is wire.ProtocolError
+        # The memo service and its client speak through the wire objects
+        # themselves, not drifted copies of the framing contract.
+        assert issubclass(service.MemoServer, wire.FrameService)
+        assert service.FrameConnection is wire.FrameConnection
+        assert service.MAX_FRAME == wire.MAX_FRAME
+        assert service.pack_str is wire.pack_str
+        assert service.ProtocolError is wire.ProtocolError
+        store = service.RemoteMemoStore("memo://127.0.0.1:9")
+        assert isinstance(store.connection, wire.FrameConnection)
 
     def test_serve_service_consumes_wire(self):
         from repro.serve import client as serve_client
         from repro.serve import server as serve_server
 
         assert serve_server.FrameService is wire.FrameService
-        assert serve_client.read_frame is wire.read_frame
-        assert serve_client.write_frame is wire.write_frame
+        assert serve_client.FrameConnection is wire.FrameConnection
         assert serve_client.MAX_FRAME == wire.MAX_FRAME
+        client = serve_client.ServeClient("serve://127.0.0.1:9,serve://127.0.0.1:10")
+        assert all(isinstance(c, wire.FrameConnection) for c in client.connections)
+
+    def test_cluster_consumes_wire(self):
+        from repro.parallel import cluster
+
+        assert issubclass(cluster.ClusterDispatcher, wire.FrameService)
+        worker = cluster.ClusterWorker("cluster://127.0.0.1:9")
+        assert isinstance(worker.connection, wire.FrameConnection)
+
+    def test_no_service_copies_the_base_dispatch(self):
+        from repro.parallel.cluster import ClusterDispatcher
+        from repro.serve.server import ServeServer
+
+        for cls in (service.MemoServer, ClusterDispatcher, ServeServer):
+            assert "_internal_error_frame" not in vars(cls)
+        for cls in (service.MemoServer, ClusterDispatcher):
+            assert "_handle_frame" not in vars(cls)
