@@ -80,10 +80,9 @@ def _add_memo_dir_option(parser: argparse.ArgumentParser) -> None:
 def _activate_memo_store(args: argparse.Namespace) -> Optional[dict]:
     """Activate the memo store and return its baseline counters.
 
-    The store's stats snapshots persist across runs (that is what makes
-    them aggregate across a pool); the baseline lets the end-of-run
-    summary report *this run's* activity rather than store-lifetime
-    totals.
+    The fit count and the worker totals are per process, so a caller that
+    runs several verbs in one process would see earlier verbs' counts;
+    the baseline lets the end-of-run summary report *this run's* activity.
     """
     if not getattr(args, "memo_dir", None):
         return None

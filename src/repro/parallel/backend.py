@@ -29,6 +29,7 @@ from the number of CPUs (``-1`` means "all cores").
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 from repro.obs import trace as obs_trace
@@ -83,21 +84,18 @@ def _init_worker(memo_dir: Optional[str]) -> None:
     configure_store(memo_dir)
 
 
-def _call_task(fn: Callable[[Any], Any], task: Any) -> Any:
-    """Run one task in a worker, flushing store statistics afterwards.
+def _call_task(fn: Callable[[Any], Any], task: Any) -> tuple[Any, dict]:
+    """Run one task, returning ``(value, counts)``.
 
-    The flush publishes the worker's store and LRU counters (and fit count)
-    into the store's per-process stats snapshots after *every* task, so an
-    interrupt never loses more than the in-flight task's counters.
+    ``counts`` is how this process's store, fit and LRU counters changed
+    while the task ran, tagged with the pid; ``ParallelMap`` merges it into
+    the parent's (see :func:`repro.parallel.store.merge_worker_counts`).
     """
-    try:
-        return fn(task)
-    finally:
-        from repro.parallel.store import get_store
+    from repro.parallel.store import counts_since, process_counts
 
-        store = get_store()
-        if store is not None:
-            store.flush_stats()
+    before = process_counts()
+    value = fn(task)
+    return value, counts_since(before)
 
 
 def effective_cpu_count() -> int:
@@ -173,13 +171,26 @@ class ParallelMap:
             "parallel.map",
             tags={"n_tasks": len(tasks), "n_workers": n_workers},
         ):
+            counted = executor.out_of_process
             try:
-                return executor.map(fn, tasks, order=order, n_workers=n_workers)
+                outputs = executor.map(
+                    partial(_call_task, fn) if counted else fn,
+                    tasks,
+                    order=order,
+                    n_workers=n_workers,
+                )
             except ExecutorUnavailableError:
                 # A dead executor (OOM-killed pool, unreachable cluster) is
                 # an infrastructure failure, not a task failure: recompute
                 # serially.
                 return [fn(task) for task in tasks]
+        if not counted:
+            return outputs
+        from repro.parallel.store import merge_worker_counts
+
+        for _value, counts in outputs:
+            merge_worker_counts(counts)
+        return [value for value, _counts in outputs]
 
 
 def parallel_map(

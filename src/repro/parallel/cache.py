@@ -356,10 +356,10 @@ def splits_token(splits: Any) -> tuple:
 def clear_caches() -> None:
     """Drop every in-memory cached artefact and reset all counters.
 
-    When a cross-process memo store is active, its hit/miss counters and
-    per-process stats snapshots are reset too, but its on-disk *objects*
-    are kept — persistence across runs is the store's whole point.  Use
-    ``get_store().clear()`` to wipe the objects as well.
+    That includes the fit count, the counters pool and cluster workers
+    sent back, and the active memo store's hit/miss counters; the store's
+    *objects* are kept — persistence across runs is the store's whole
+    point.  Use ``get_store().clear()`` to wipe the objects as well.
     """
     _SPLIT_CACHE.clear()
     _MOMENTS_CACHE.clear()
@@ -367,6 +367,7 @@ def clear_caches() -> None:
     _BINS_CACHE.clear()
     _CANDIDATE_CACHE.clear()
     _store.reset_fit_count()
+    _store.reset_worker_counts()
     store = _store.get_store()
     if store is not None:
         store.reset_stats()
@@ -376,10 +377,10 @@ def cache_stats(include_store: bool = True) -> dict[str, dict[str, int]]:
     """Hit/miss/size counters per cache, for diagnostics.
 
     When a memo store is active (and ``include_store`` is true) the result
-    gains a ``"memo_store"`` entry with this process's store counters
-    (``hits``/``misses``/``puts``/``errors``/``objects``).  For a view
-    aggregated over worker processes, use
-    ``get_store().aggregated_stats()``.
+    gains a ``"memo_store"`` entry with its counters
+    (``hits``/``misses``/``puts``/``errors``/``objects``), workers'
+    included.  The LRU counters are this process's own; for a view that
+    adds those of worker processes, use ``get_store().aggregated_stats()``.
     """
     stats = {
         name: {"hits": c.hits, "misses": c.misses, "size": len(c)}

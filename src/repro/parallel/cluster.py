@@ -574,9 +574,9 @@ class ClusterWorker:
     ``--idle-exit`` so fleets drain themselves after the run ends.
 
     Task payloads are the run's own pickled ``(fn, task)`` pairs; the
-    worker executes them exactly like a local pool worker — including the
-    per-task memo-store statistics flush — and ships back either the
-    pickled value or the pickled exception.
+    worker executes them exactly like a local pool worker and ships back
+    either the pickled value or the pickled exception.  Under
+    ``ParallelMap`` the value carries the task's counter changes home.
     """
 
     def __init__(
@@ -710,8 +710,6 @@ class ClusterWorker:
         return self.tasks_done
 
     def _run_and_report(self, token: str, blob: bytes) -> None:
-        from repro.parallel.backend import _call_task
-
         try:
             fn, task = _open_payload(blob)
         except Exception as exc:
@@ -731,7 +729,7 @@ class ClusterWorker:
                 "cluster.task", tags={"token": token, "worker": self.name}
             ) as task_span:
                 try:
-                    value = _call_task(fn, task)
+                    value = fn(task)
                 except Exception as exc:
                     status, payload = _RESULT_EXC, _seal_exception(exc)
                 else:
@@ -808,6 +806,7 @@ class ClusterExecutor(Executor):
     """
 
     name = "cluster"
+    out_of_process = True
 
     def __init__(
         self, url: Optional[str] = None, *, worker_wait: Optional[float] = None

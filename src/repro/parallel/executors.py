@@ -9,7 +9,7 @@ without touching the search/CV/AL call sites:
   function/task, and is the fallback every other executor degrades to.
 * ``process`` — the process-pool executor (the previous behaviour and still
   the default for ``n_jobs > 1``); workers are initialised with the
-  parent's memo-store location and flush statistics after every task.
+  parent's memo-store location.
 
 Selection order: an explicit ``executor=`` argument to ``ParallelMap`` /
 ``parallel_map`` wins, then the ``REPRO_EXECUTOR`` environment variable,
@@ -80,6 +80,11 @@ class Executor:
     #: Registry name; set by subclasses.
     name: str = "?"
 
+    #: Tasks run in other processes.  ``ParallelMap`` then has each task
+    #: send its counter changes home with its result, so :meth:`map` must
+    #: return what ``fn`` returned, untouched.
+    out_of_process: bool = False
+
     def supports(self, fn: Callable[[Any], Any], tasks: list[Any]) -> bool:
         """Pre-flight check; ``False`` routes the batch to the serial path."""
         return True
@@ -116,11 +121,11 @@ class ProcessExecutor(Executor):
     """Process-pool fan-out (the default for ``n_jobs > 1``).
 
     Workers are initialised with the parent's memo-store location so every
-    worker (and every later run) shares candidate evaluations, and flush
-    their store statistics after each task.
+    worker (and every later run) shares candidate evaluations.
     """
 
     name = "process"
+    out_of_process = True
 
     def supports(self, fn: Callable[[Any], Any], tasks: list[Any]) -> bool:
         """Pre-flight pickling check before handing work to a process pool.
@@ -149,7 +154,7 @@ class ProcessExecutor(Executor):
         order: Sequence[int],
         n_workers: int,
     ) -> list[Any]:
-        from repro.parallel.backend import _call_task, _init_worker, effective_cpu_count
+        from repro.parallel.backend import _init_worker, effective_cpu_count
         from repro.parallel.store import active_memo_dir
 
         # Tasks are CPU-bound: more workers than cores only adds contention,
@@ -162,7 +167,7 @@ class ProcessExecutor(Executor):
                 initializer=_init_worker,
                 initargs=(active_memo_dir(),),
             ) as pool:
-                futures = {idx: pool.submit(_call_task, fn, tasks[idx]) for idx in order}
+                futures = {idx: pool.submit(fn, tasks[idx]) for idx in order}
                 for idx in range(len(tasks)):
                     results[idx] = futures[idx].result()
         except BrokenProcessPool as exc:

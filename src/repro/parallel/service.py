@@ -14,7 +14,10 @@ filesystem) can share one memo:
 * :class:`RemoteMemoStore` — a client implementing the same get/put/stats
   surface as the disk store.  Pickling, version checking, read-only
   freezing and key digesting all happen client-side; the wire carries
-  ``(namespace, digest, blob)``.
+  ``(namespace, digest, blob)``.  Each client counts its own operations
+  (aggregated across pool and cluster workers in the client process, see
+  :mod:`repro.parallel.store`); the server counts the gets and puts it
+  serves on its metrics registry, which its telemetry reports.
 * ``repro-chem memo-serve`` (see :mod:`repro.cli`) — the operational front
   end: point it at a store directory and point every run at
   ``memo://host:port``.
@@ -23,7 +26,9 @@ Wire protocol (version 1): the shared length-prefixed binary framing of
 :mod:`repro.parallel.wire` (one 4-byte big-endian length + payload per
 frame, ``!H``-prefixed strings, 1 GiB frame cap).  Requests start with a
 1-byte opcode, responses with a 1-byte status; the value blob, when
-present, is the remainder of the frame.
+present, is the remainder of the frame.  The stats-snapshot opcodes of
+older clients (``S``/``A``/``R``) get the unknown-opcode error frame,
+which those clients already ignore.
 
 Failure contract (mirrors the disk store's corruption tolerance): *any*
 protocol error — dead or unreachable server, connection reset mid-frame,
@@ -36,12 +41,9 @@ holds values that are pure functions of their keys.
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import re
-import threading
-import time
 from typing import Any, Optional
 
 from repro.obs import trace as obs_trace
@@ -61,11 +63,9 @@ from repro.parallel.store import (
     _MAGIC,
     MEMO_URL_SCHEME,
     MemoStore,
+    StoreCounters,
     _freeze_nested,
-    _process_token,
-    build_stats_snapshot,
     key_digest,
-    sum_snapshots,
 )
 
 __all__ = ["MemoServer", "RemoteMemoStore", "parse_memo_url", "PROTOCOL_VERSION"]
@@ -75,11 +75,8 @@ PROTOCOL_VERSION = 1
 # Request opcodes.
 _OP_GET = b"G"
 _OP_PUT = b"P"
-_OP_SNAP = b"S"      # publish this process's stats snapshot
-_OP_SNAPS = b"A"     # fetch every process's stats snapshot
 _OP_COUNT = b"C"     # on-disk object count
-_OP_RESET = b"R"     # drop stats snapshots (MemoStore.reset_stats)
-_OP_CLEAR = b"X"     # drop objects and snapshots (MemoStore.clear)
+_OP_CLEAR = b"X"     # drop every object (MemoStore.clear)
 _OP_PING = b"?"
 
 # Response statuses.
@@ -89,11 +86,10 @@ _ST_ERR = b"!"
 
 _PING_BANNER = f"repro-memo/{PROTOCOL_VERSION}".encode("ascii")
 
-# Namespaces/digests/tokens become path components on the server; anything
+# Namespaces/digests become path components on the server; anything
 # fancier than these is rejected before it can escape the store directory.
 _NAMESPACE_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]{0,63}$")
 _DIGEST_RE = re.compile(r"^[0-9a-f]{6,64}$")
-_TOKEN_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]{0,63}$")
 
 
 def parse_memo_url(url: str) -> tuple[str, int]:
@@ -139,15 +135,29 @@ class MemoServer(FrameService):
         super().__init__(
             host=host, port=port, timeout=timeout, max_connections=max_connections
         )
+        self._c_gets = {
+            result: self.metrics.counter("memo.gets", result=result)
+            for result in ("hit", "miss")
+        }
+        self._c_puts = {
+            result: self.metrics.counter("memo.puts", result=result)
+            for result in ("ok", "error")
+        }
 
     def stats(self) -> dict:
-        """Aggregated cross-process view of the served store.
+        """The gets and puts this server has served, plus the object count.
 
-        This is what the ``telemetry`` opcode exposes under ``"stats"`` —
-        the sum of every client process's published snapshot plus the
-        on-disk object count.
+        This is what the ``telemetry`` opcode exposes under ``"stats"``.
         """
-        return self.store.aggregated_stats()
+        return {
+            "store": {
+                "hits": self._c_gets["hit"].value,
+                "misses": self._c_gets["miss"].value,
+                "puts": self._c_puts["ok"].value,
+                "errors": self._c_puts["error"].value,
+                "objects": self.store.object_count(),
+            }
+        }
 
     # -------------------------------------------------------------- dispatch
 
@@ -156,27 +166,15 @@ class MemoServer(FrameService):
         if op == _OP_GET:
             namespace, digest = self._parse_object_fields(request, expect_blob=False)
             blob = self.store.get_blob(namespace, digest)
+            self._c_gets["hit" if blob is not None else "miss"].inc()
             return (_ST_OK, blob) if blob is not None else (_ST_MISS, b"")
         if op == _OP_PUT:
             namespace, digest, blob = self._parse_object_fields(request, expect_blob=True)
             ok = self.store.put_blob(namespace, digest, blob)
+            self._c_puts["ok" if ok else "error"].inc()
             return (_ST_OK, b"") if ok else (_ST_ERR, b"store write failed")
-        if op == _OP_SNAP:
-            token, offset = unpack_str(request, 1)
-            if not _TOKEN_RE.match(token):
-                raise ProtocolError("bad snapshot token")
-            snapshot = request[offset:]
-            json.loads(snapshot)  # reject unparseable snapshots at the door
-            ok = self.store.write_snapshot(token, snapshot)
-            return (_ST_OK, b"") if ok else (_ST_ERR, b"snapshot write failed")
-        if op == _OP_SNAPS:
-            body = json.dumps(self.store.read_snapshots()).encode("utf-8")
-            return (_ST_OK, body)
         if op == _OP_COUNT:
             return (_ST_OK, str(self.store.object_count()).encode("ascii"))
-        if op == _OP_RESET:
-            self.store.reset_stats()
-            return (_ST_OK, b"")
         if op == _OP_CLEAR:
             self.store.clear()
             return (_ST_OK, b"")
@@ -200,7 +198,7 @@ class MemoServer(FrameService):
 # ------------------------------------------------------------------- client
 
 
-class RemoteMemoStore:
+class RemoteMemoStore(StoreCounters):
     """Client for :class:`MemoServer` with the disk store's get/put surface.
 
     One persistent connection per instance (so per process: workers each
@@ -223,6 +221,7 @@ class RemoteMemoStore:
         retry_delay: float = 0.5,
         retry_seed: object = None,
     ) -> None:
+        super().__init__()
         self.host, self.port = parse_memo_url(url)
         #: The server connection; its ``caps`` are probed lazily, and only
         #: when tracing is active.
@@ -242,12 +241,6 @@ class RemoteMemoStore:
             ),
             rng=self._rng,
         )
-        self._counter_lock = threading.Lock()
-        self._last_flush = 0.0
-        self.hits = 0
-        self.misses = 0
-        self.puts = 0
-        self.errors = 0
 
     # ---------------------------------------------------------- connection
 
@@ -296,11 +289,6 @@ class RemoteMemoStore:
             return None
 
     # ------------------------------------------------------------- get / put
-
-    def _count(self, **deltas: int) -> None:
-        with self._counter_lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
 
     @staticmethod
     def _check_namespace(namespace: str) -> None:
@@ -365,30 +353,8 @@ class RemoteMemoStore:
             self._count(puts=1)
         else:
             self._count(errors=1)
-        # Read the flush clock under the counter lock: an unlocked read
-        # races flush_stats() in another thread and can double-publish or
-        # skip a snapshot window (the PR 7 lock discipline, applied here).
-        with self._counter_lock:
-            due = time.monotonic() - self._last_flush > 1.0
-        if due:
-            self.flush_stats()
 
     # ------------------------------------------------------------ statistics
-
-    def _local_counters(self) -> dict[str, int]:
-        with self._counter_lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "puts": self.puts,
-                "errors": self.errors,
-            }
-
-    def stats(self) -> dict[str, int]:
-        """This process's counters (plus the server-side object count)."""
-        out = self._local_counters()
-        out["objects"] = self.object_count()
-        return out
 
     def object_count(self) -> int:
         response = self._request(_OP_COUNT)
@@ -399,45 +365,10 @@ class RemoteMemoStore:
         except ValueError:
             return 0
 
-    def flush_stats(self) -> None:
-        """Publish this process's counters as a snapshot on the server.
-
-        Failures are swallowed: statistics must never break the computation
-        they describe.
-        """
-        snapshot = json.dumps(build_stats_snapshot(self._local_counters()))
-        self._request(_OP_SNAP + pack_str(_process_token()) + snapshot.encode("utf-8"))
-        with self._counter_lock:
-            self._last_flush = time.monotonic()
-
-    def aggregated_stats(self) -> dict[str, Any]:
-        """Sum the snapshots of every process that used the service."""
-        self.flush_stats()
-        response = self._request(_OP_SNAPS)
-        snapshots: list[dict] = []
-        if response is not None and response[0] == _ST_OK:
-            try:
-                loaded = json.loads(response[1])
-                if isinstance(loaded, list):
-                    snapshots = loaded
-            except ValueError:
-                pass
-        if not snapshots:
-            # Unreachable server: report at least this process's view.
-            snapshots = [build_stats_snapshot(self._local_counters())]
-        return sum_snapshots(snapshots, objects=self.object_count())
-
-    def reset_stats(self) -> None:
-        """Zero this process's counters and drop the server's snapshots."""
-        with self._counter_lock:
-            self.hits = self.misses = self.puts = self.errors = 0
-        self._request(_OP_RESET)
-
     def clear(self) -> None:
-        """Delete every stored object and snapshot on the server."""
+        """Delete every stored object on the server and zero the counters."""
         self._request(_OP_CLEAR)
-        with self._counter_lock:
-            self.hits = self.misses = self.puts = self.errors = 0
+        self.reset_stats()
 
     def ping(self) -> bool:
         """True when the server answers the protocol handshake."""

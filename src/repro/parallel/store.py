@@ -33,13 +33,17 @@ Determinism contract: the store only ever holds values that are pure
 functions of their key (seed-deterministic evaluations of content-addressed
 inputs), so a warm-store run is bit-identical to a cold serial run.
 
-Statistics: every process keeps local hit/miss/put/error counters plus a
-count of estimator fits executed by the search/CV layers
-(:func:`record_fit`).  :meth:`MemoStore.flush_stats` snapshots them — along
-with the process's in-memory LRU counters — into ``stats/<pid>.json``
-inside the store; :meth:`MemoStore.aggregated_stats` sums the snapshots of
-every process that ever touched the store, which is what keeps cache
-statistics coherent when the work ran in a pool.
+Statistics: every store object counts its hits, misses, puts and errors,
+and every process counts the estimator fits run by the search/CV layers
+(:func:`record_fit`).  A pool or cluster task sends its process's counter
+changes back with its result (:func:`counts_since`), and
+:class:`~repro.parallel.backend.ParallelMap` merges those from other
+processes (:func:`merge_worker_counts`): store counters into the active
+store, fit and LRU counts into one per-process worker total.
+:meth:`MemoStore.aggregated_stats` is the store's counters, this process's
+fit and LRU counts, and that total, so cache statistics stay coherent when
+the work ran in a pool.  Counters live in memory only: nothing about them
+is written to the store.
 
 Activation: call :func:`configure_store` explicitly (the CLI's
 ``--memo-dir`` does), or set ``REPRO_MEMO_DIR`` and the first
@@ -50,12 +54,9 @@ the parent's store directory by the backend.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pickle
 import threading
-import time
-import uuid
 from pathlib import Path
 from typing import Any, Optional
 
@@ -71,6 +72,9 @@ __all__ = [
     "record_fit",
     "fit_count",
     "reset_fit_count",
+    "process_counts",
+    "merge_worker_counts",
+    "reset_worker_counts",
     "MEMO_URL_SCHEME",
 ]
 
@@ -86,35 +90,19 @@ _MAGIC = _MAGIC_PREFIX + bytes([STORE_FORMAT_VERSION]) + b"\n"
 _ENV_VAR = "REPRO_MEMO_DIR"
 
 # Estimator-level fit counter for this process (see record_fit).  It lives
-# here rather than in cache.py so it is flushed with the store statistics.
+# here rather than in cache.py so it travels with the store statistics.
 _FIT_COUNT = 0
 _FIT_LOCK = threading.Lock()
 
-# Unique stats-snapshot identity per process.  A bare PID would let a later
-# run whose process happens to reuse the PID overwrite an earlier run's
-# snapshot, making aggregated totals non-monotonic (and per-run deltas
-# wrong); the random suffix keeps every process's snapshot distinct for the
-# lifetime of the store.  Regenerated after fork (the PID check), so a
-# worker never clobbers the parent's snapshot.
-_PROC_PID = 0
-_PROC_UID = ""
-
-
-def _process_token() -> str:
-    global _PROC_PID, _PROC_UID
-    pid = os.getpid()
-    if pid != _PROC_PID:
-        _PROC_PID = pid
-        _PROC_UID = uuid.uuid4().hex[:8]
-    return f"{pid}-{_PROC_UID}"
+_STORE_FIELDS = ("hits", "misses", "puts", "errors")
 
 
 def record_fit(n: int = 1) -> None:
     """Count ``n`` estimator fits executed by the search/CV layers.
 
     The counter is what lets tests assert that a fully warm-store sweep
-    performed *zero* model fits; it is aggregated across worker processes
-    through the store's stats files.
+    performed *zero* model fits; worker processes send theirs back with
+    each task result.
     """
     global _FIT_COUNT
     with _FIT_LOCK:
@@ -193,30 +181,71 @@ def _freeze_nested(obj: Any) -> Any:
     return obj
 
 
-class MemoStore:
+class StoreCounters:
+    """The hit/miss/put/error counters and stats views of both store backends."""
+
+    def __init__(self) -> None:
+        self._counter_lock = threading.Lock()
+        self.hits = self.misses = self.puts = self.errors = 0
+
+    def _count(self, **deltas: int) -> None:
+        with self._counter_lock:
+            for name, delta in deltas.items():
+                setattr(self, name, getattr(self, name) + delta)
+
+    def counters(self) -> dict[str, int]:
+        """This object's hit/miss/put/error counters (workers' included)."""
+        with self._counter_lock:
+            return {name: getattr(self, name) for name in _STORE_FIELDS}
+
+    def object_count(self) -> int:
+        raise NotImplementedError
+
+    def stats(self) -> dict[str, int]:
+        """This object's counters plus the stored object count."""
+        out = self.counters()
+        out["objects"] = self.object_count()
+        return out
+
+    def aggregated_stats(self) -> dict[str, Any]:
+        """This store's and process's counters plus those workers sent back.
+
+        ``{"store": {hits, misses, puts, errors, objects}, "caches": {name:
+        {hits, misses}}, "fits": n}``.
+        """
+        totals = process_counts(self)
+        del totals["pid"]
+        _add_counts(totals, worker_counts())
+        totals["store"]["objects"] = self.object_count()
+        return totals
+
+    def reset_stats(self) -> None:
+        """Zero this object's counters (workers' included).
+
+        Stored objects are kept; nothing on disk or on a server changes.
+        Fit and LRU counts are per process: ``clear_caches()`` zeroes them.
+        """
+        with self._counter_lock:
+            self.hits = self.misses = self.puts = self.errors = 0
+
+
+class MemoStore(StoreCounters):
     """A directory of memoised values shared by processes and runs.
 
     Layout::
 
         <root>/objects/<namespace>/<aa>/<digest[2:]>.pkl
-        <root>/stats/<pid>.json
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
+        super().__init__()
         # ``~`` is expanded and missing parents are created, so a CLI
         # ``--memo-dir ~/.cache/repro-memo`` works on a fresh machine.
         self.root = Path(root).expanduser()
         self._objects = self.root / "objects"
-        self._stats_dir = self.root / "stats"
         self._objects.mkdir(parents=True, exist_ok=True)
-        self._stats_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._tmp_seq = 0
-        self._last_flush = 0.0
-        self.hits = 0
-        self.misses = 0
-        self.puts = 0
-        self.errors = 0
 
     # ------------------------------------------------------------------ paths
 
@@ -230,9 +259,6 @@ class MemoStore:
 
     def digest_path(self, namespace: str, digest: str) -> Path:
         return self._objects / namespace / digest[:2] / (digest[2:] + ".pkl")
-
-    def _stats_path(self) -> Path:
-        return self._stats_dir / f"{_process_token()}.json"
 
     # ------------------------------------------------------------- get / put
 
@@ -248,28 +274,21 @@ class MemoStore:
             with open(path, "rb") as fh:
                 blob = fh.read()
         except (FileNotFoundError, OSError):
-            with self._lock:
-                self.misses += 1
+            self._count(misses=1)
             return default
         if not blob.startswith(_MAGIC):
             # Foreign bytes or a payload written by a different format
             # version: invalidate rather than risk misreading it.
-            with self._lock:
-                self.misses += 1
-                if not blob.startswith(_MAGIC_PREFIX):
-                    self.errors += 1
+            self._count(misses=1, errors=int(not blob.startswith(_MAGIC_PREFIX)))
             self._discard(path)
             return default
         try:
             value = pickle.loads(blob[len(_MAGIC):])
         except Exception:
-            with self._lock:
-                self.misses += 1
-                self.errors += 1
+            self._count(misses=1, errors=1)
             self._discard(path)
             return default
-        with self._lock:
-            self.hits += 1
+        self._count(hits=1)
         return _freeze_nested(value)
 
     def put(self, namespace: str, key: Any, value: Any) -> None:
@@ -288,22 +307,10 @@ class MemoStore:
         except OSError:
             # A full or read-only disk degrades the store to a no-op cache;
             # the value was computed and the caller still has it.
-            with self._lock:
-                self.errors += 1
+            self._count(errors=1)
             self._discard(tmp)
             return
-        with self._lock:
-            self.puts += 1
-        # Keep the on-disk counters fresh enough that an interrupted serial
-        # run loses at most a second of statistics, without paying a stats
-        # write per put on hot sweeps (pool workers additionally flush
-        # after every task).  The flush clock is read under the lock: an
-        # unlocked read races a concurrent flush_stats() and can skip or
-        # double-publish a snapshot window.
-        with self._lock:
-            due = time.monotonic() - self._last_flush > 1.0
-        if due:
-            self.flush_stats()
+        self._count(puts=1)
 
     @staticmethod
     def _discard(path: Path) -> None:
@@ -317,8 +324,8 @@ class MemoStore:
     # The memo service (repro.parallel.service) moves whole payload blobs —
     # the same magic-prefixed versioned pickles this class writes — without
     # ever unpickling them; these methods are its storage backend.  They do
-    # not touch the hit/miss counters: those count *client* operations, and
-    # the remote client keeps its own.
+    # not touch the counters: the remote client counts its own operations,
+    # and the server counts the ones it serves on its metrics registry.
 
     def get_blob(self, namespace: str, digest: str) -> Optional[bytes]:
         """Raw payload bytes for a digest, or ``None`` on any kind of miss.
@@ -356,41 +363,7 @@ class MemoStore:
             return False
         return True
 
-    def write_snapshot(self, token: str, data: bytes) -> bool:
-        """Atomically publish a remote process's stats snapshot JSON."""
-        path = self._stats_dir / f"{token}.json"
-        tmp = path.parent / f".{path.name}.tmp"
-        try:
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
-        except OSError:
-            self._discard(tmp)
-            return False
-        return True
-
-    def read_snapshots(self) -> list[dict]:
-        """Every parseable stats snapshot in the store (unparseable skipped)."""
-        snapshots = []
-        for path in sorted(self._stats_dir.glob("*.json")):
-            try:
-                snapshots.append(json.loads(path.read_text()))
-            except (OSError, ValueError):
-                continue
-        return snapshots
-
     # ------------------------------------------------------------ statistics
-
-    def stats(self) -> dict[str, int]:
-        """This process's counters (plus the on-disk object count)."""
-        with self._lock:
-            out = {
-                "hits": self.hits,
-                "misses": self.misses,
-                "puts": self.puts,
-                "errors": self.errors,
-            }
-        out["objects"] = self.object_count()
-        return out
 
     def object_count(self) -> int:
         return sum(
@@ -400,65 +373,31 @@ class MemoStore:
             if name.endswith(".pkl")
         )
 
-    def flush_stats(self) -> None:
-        """Atomically snapshot this process's counters into the stats dir.
-
-        The snapshot carries the store counters, the in-memory LRU cache
-        counters and the fit count, so :meth:`aggregated_stats` can present
-        a coherent cross-process view.  Failures are swallowed: statistics
-        must never break the computation they describe.
-        """
-        with self._lock:
-            counters = {
-                "hits": self.hits,
-                "misses": self.misses,
-                "puts": self.puts,
-                "errors": self.errors,
-            }
-        snapshot = build_stats_snapshot(counters)
-        path = self._stats_path()
-        tmp = path.parent / f".{path.name}.tmp"
-        try:
-            tmp.write_text(json.dumps(snapshot))
-            os.replace(tmp, path)
-        except OSError:
-            self._discard(tmp)
-        with self._lock:
-            self._last_flush = time.monotonic()
-
-    def aggregated_stats(self) -> dict[str, Any]:
-        """Sum the stats snapshots of every process that used this store."""
-        self.flush_stats()
-        return sum_snapshots(self.read_snapshots(), objects=self.object_count())
-
-    def reset_stats(self) -> None:
-        """Zero this process's counters and drop every stats snapshot file."""
-        with self._lock:
-            self.hits = self.misses = self.puts = self.errors = 0
-        for path in self._stats_dir.glob("*.json"):
-            self._discard(path)
-
     def clear(self) -> None:
-        """Delete every stored object and stats snapshot (keep the directory)."""
+        """Delete every stored object and zero the counters (keep the directory)."""
         for base, _, files in os.walk(self._objects, topdown=False):
             for name in files:
                 self._discard(Path(base) / name)
         self.reset_stats()
 
 
-# ------------------------------------------------------- snapshot aggregation
+# ------------------------------------------------------------ worker counts
 #
-# Shared by the disk store and the service-backed client so both report the
-# same coherent cross-process view.
+# A count document is {"pid", "store": {hits, misses, puts, errors},
+# "caches": {name: {hits, misses}}, "fits"}: one process's counters, or the
+# change in them while one task ran.
 
 
-def build_stats_snapshot(counters: dict[str, int]) -> dict[str, Any]:
-    """This process's stats snapshot around ``counters`` (hits/misses/...)."""
+def process_counts(store: Optional[StoreCounters] = None) -> dict[str, Any]:
+    """This process's counters: ``store``'s (default: the active store's),
+    the fit count and each in-memory LRU cache's hits and misses."""
     from repro.parallel.cache import cache_stats
 
+    if store is None:
+        store = get_store()
     return {
         "pid": os.getpid(),
-        "store": dict(counters),
+        "store": store.counters() if store is not None else dict.fromkeys(_STORE_FIELDS, 0),
         "fits": fit_count(),
         "caches": {
             name: {"hits": c["hits"], "misses": c["misses"]}
@@ -467,46 +406,62 @@ def build_stats_snapshot(counters: dict[str, int]) -> dict[str, Any]:
     }
 
 
-def _as_int(value: Any) -> int:
-    """Best-effort integer coercion; garbage reads as 0, never raises."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        return 0
+def counts_since(before: dict[str, Any]) -> dict[str, Any]:
+    """How this process's counters changed since ``before`` (a :func:`process_counts`)."""
+    delta = process_counts()
+    _add_counts(delta, before, sign=-1)
+    for name in _STORE_FIELDS:
+        delta["store"][name] -= before["store"][name]
+    return delta
 
 
-def sum_snapshots(snapshots: list[dict], *, objects: int) -> dict[str, Any]:
-    """Sum per-process stats snapshots into one aggregated view.
+def _zero_counts() -> dict[str, Any]:
+    return {"caches": {}, "fits": 0}
 
-    Snapshots come off disk (or off the wire) from other processes, so any
-    of them can be torn or garbled: parseable-but-malformed JSON — a
-    non-numeric counter, a ``"store"`` that is a list, a cache entry that
-    is a string — contributes zeros instead of crashing the aggregation.
+
+def _add_counts(total: dict[str, Any], counts: dict[str, Any], sign: int = 1) -> None:
+    """Add the fit and LRU counts of ``counts`` into ``total`` (``sign=-1`` subtracts)."""
+    total["fits"] += sign * counts["fits"]
+    for name, cache in counts["caches"].items():
+        bucket = total["caches"].setdefault(name, {"hits": 0, "misses": 0})
+        bucket["hits"] += sign * cache["hits"]
+        bucket["misses"] += sign * cache["misses"]
+
+
+# The fit and LRU counts pool and cluster workers sent back to this process.
+_WORKER_COUNTS = _zero_counts()
+_WORKER_LOCK = threading.Lock()
+
+
+def merge_worker_counts(counts: dict[str, Any]) -> None:
+    """Add one task's counter changes to this process's.
+
+    Store counters go to the active store (the one workers attach to), fit
+    and LRU counts to the worker total.  A task that ran in this process
+    (the serial executor, an in-process cluster worker thread) already
+    moved this process's own counters, so it is not added a second time.
     """
-    totals: dict[str, int] = {"hits": 0, "misses": 0, "puts": 0, "errors": 0}
-    caches: dict[str, dict[str, int]] = {}
-    fits = 0
-    processes = 0
-    for snapshot in snapshots:
-        if not isinstance(snapshot, dict):
-            continue
-        processes += 1
-        fits += _as_int(snapshot.get("fits", 0))
-        store = snapshot.get("store")
-        for field, value in store.items() if isinstance(store, dict) else ():
-            if field in totals:
-                totals[field] += _as_int(value)
-        snap_caches = snapshot.get("caches")
-        for name, counters in (
-            snap_caches.items() if isinstance(snap_caches, dict) else ()
-        ):
-            if not isinstance(counters, dict):
-                continue
-            bucket = caches.setdefault(name, {"hits": 0, "misses": 0})
-            bucket["hits"] += _as_int(counters.get("hits", 0))
-            bucket["misses"] += _as_int(counters.get("misses", 0))
-    totals["objects"] = objects
-    return {"store": totals, "caches": caches, "fits": fits, "processes": processes}
+    if counts["pid"] == os.getpid():
+        return
+    store = get_store()
+    if store is not None:
+        store._count(**counts["store"])
+    with _WORKER_LOCK:
+        _add_counts(_WORKER_COUNTS, counts)
+
+
+def worker_counts() -> dict[str, Any]:
+    """A copy of the fit and LRU counts workers sent back to this process."""
+    total = _zero_counts()
+    with _WORKER_LOCK:
+        _add_counts(total, _WORKER_COUNTS)
+    return total
+
+
+def reset_worker_counts() -> None:
+    """Zero the fit and LRU counts workers sent back to this process."""
+    with _WORKER_LOCK:
+        _WORKER_COUNTS.update(_zero_counts())
 
 
 # --------------------------------------------------------- module-level state

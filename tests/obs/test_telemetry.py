@@ -57,6 +57,7 @@ class TestTelemetryOpcode:
             try:
                 store.put("ns", "k", 1)
                 store.get("ns", "k")
+                store.get("ns", "absent")
             finally:
                 store.close()
             host, port = parse_hostport_url(srv.url, "memo://")
@@ -64,7 +65,14 @@ class TestTelemetryOpcode:
             srv.shutdown()
         assert doc["schema_version"] == TELEMETRY_SCHEMA_VERSION
         assert doc["service"] == "MemoServer"
-        assert "store" in doc["stats"]
+        assert doc["stats"]["store"] == {
+            "hits": 1, "misses": 1, "puts": 1, "errors": 0, "objects": 1,
+        }
+        counters = doc["metrics"]["counters"]
+        assert counters["memo.gets{result=hit}"] == 1
+        assert counters["memo.gets{result=miss}"] == 1
+        assert counters["memo.puts{result=ok}"] == 1
+        assert counters["memo.puts{result=error}"] == 0
 
     def test_dead_port_raises_oserror(self):
         with pytest.raises(OSError):

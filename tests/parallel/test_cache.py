@@ -15,6 +15,7 @@ from repro.parallel.cache import (
     feature_presort,
     splits_token,
 )
+from repro.parallel.store import MemoStore
 
 
 @pytest.fixture(autouse=True)
@@ -202,3 +203,35 @@ class TestStoreBackedCandidateCache:
         # own counters see none of them — the aggregate is the fix.
         assert fit_count() == 1  # parent recorded only the refit
         assert cache_stats()["candidate_eval"]["misses"] == 0
+        # Another store object on the same directory — another run sharing
+        # the store — resetting its stats leaves this run's counts alone.
+        MemoStore(self.store.location).reset_stats()
+        assert self.store.aggregated_stats()["fits"] == 4 * 3 + 1
+        # Counters never touch the store directory.
+        assert [p.name for p in self.store.root.iterdir()] == ["objects"]
+
+    def test_multiprocess_counters_survive_another_clients_reset(self, X, tmp_path):
+        """The same over ``memo://``: another client's ``reset_stats()``
+        touches nothing on the server that this run's counts depend on."""
+        from repro.ml.search import GridSearchCV
+        from repro.ml.tree import DecisionTreeRegressor
+        from repro.parallel.service import MemoServer, RemoteMemoStore
+        from repro.parallel.store import configure_store
+
+        rng = np.random.default_rng(0)
+        y = X @ np.asarray([1.0, -1.0, 0.5, 2.0]) + rng.normal(0.0, 0.1, len(X))
+        grid = {"max_depth": [2, 3], "min_samples_leaf": [1, 2]}
+        with MemoServer(tmp_path / "served") as server:
+            store = configure_store(server.url)
+            clear_caches()
+            GridSearchCV(
+                DecisionTreeRegressor(random_state=0), grid, cv=3, n_jobs=2
+            ).fit(X, y)
+            other = RemoteMemoStore(server.url)
+            try:
+                other.reset_stats()
+            finally:
+                other.close()
+            agg = store.aggregated_stats()
+        assert agg["fits"] == 4 * 3 + 1
+        assert agg["store"]["puts"] == 4

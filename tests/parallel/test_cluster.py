@@ -275,6 +275,7 @@ def _env(extra_pythonpath=None):
     env["PYTHONPATH"] = os.pathsep.join(parts)
     env.pop(CLUSTER_URL_ENV, None)
     env.pop("REPRO_EXECUTOR", None)
+    env.pop("REPRO_MEMO_DIR", None)
     return env
 
 
@@ -463,10 +464,14 @@ class TestSubprocessWorkers:
             sys.modules.pop("cluster_tasks_t7", None)
 
     def test_model_comparison_is_byte_identical_to_serial(
-        self, small_aurora_dataset, monkeypatch
+        self, small_aurora_dataset, monkeypatch, tmp_path
     ):
         """The acceptance bar: REPRO_EXECUTOR=cluster run of
-        run_model_comparison against real subprocess workers == cold serial."""
+        run_model_comparison against real subprocess workers == cold serial.
+
+        The workers run without a memo store, yet the fits they ran come
+        home with their results: the run counts as many as the serial one.
+        """
         from repro.core.hyperopt import run_model_comparison
         from repro.parallel import clear_caches, configure_store
 
@@ -485,9 +490,11 @@ class TestSubprocessWorkers:
                 for r in results
             ]
 
-        configure_store(None)
+        store = configure_store(tmp_path / "serial-memo")
         clear_caches()
         serial = run_model_comparison(small_aurora_dataset, n_jobs=1, **sweep)
+        serial_fits = store.aggregated_stats()["fits"]
+        assert serial_fits > 0
 
         dispatcher = ensure_dispatcher("cluster://127.0.0.1:0")
         workers = [_spawn_worker(dispatcher.url, f"mc{i}") for i in range(2)]
@@ -495,11 +502,14 @@ class TestSubprocessWorkers:
             _wait_for_workers(dispatcher, 2)
             monkeypatch.setenv("REPRO_EXECUTOR", "cluster")
             monkeypatch.setenv(CLUSTER_URL_ENV, dispatcher.url)
+            store = configure_store(tmp_path / "cluster-memo")
             clear_caches()
             clustered = run_model_comparison(small_aurora_dataset, n_jobs=2, **sweep)
             assert comparable(clustered) == comparable(serial)
             assert dispatcher.stats()["batches_done"] >= 1
+            assert store.aggregated_stats()["fits"] == serial_fits
         finally:
+            configure_store(None)
             for proc in workers:
                 if proc.poll() is None:
                     proc.terminate()

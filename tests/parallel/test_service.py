@@ -8,7 +8,6 @@ failure mode: dead server, server killed mid-run, truncated frames,
 oversized frames, corrupt payloads, concurrent writers.
 """
 
-import json
 import socket
 import struct
 import threading
@@ -353,37 +352,17 @@ class TestStats:
         assert s["misses"] == 1 and s["puts"] == 1 and s["hits"] == 1
         assert s["objects"] == 1
 
-    def test_snapshots_aggregate_across_processes(self, server, client):
-        client.put("unit", "k", 1)
-        client.get("unit", "k")
-        client.flush_stats()
-        # The client's snapshot lands in the served directory's stats dir —
-        # the same place local processes write theirs.
-        assert len(list((server.store.root / "stats").glob("*.json"))) == 1
-        # Simulate a second process's snapshot to check the summation path.
-        other = {
-            "pid": 999999,
-            "store": {"hits": 3, "misses": 2, "puts": 2, "errors": 1},
-            "fits": 7,
-            "caches": {"candidate_eval": {"hits": 5, "misses": 4}},
-        }
-        (server.store.root / "stats" / "999999.json").write_text(json.dumps(other))
-        agg = client.aggregated_stats()
-        assert agg["processes"] == 2
-        assert agg["fits"] == 7
-        assert agg["store"]["hits"] == 3 + 1
-        assert agg["store"]["puts"] == 2 + 1
-        assert agg["store"]["errors"] == 1
-        assert agg["store"]["objects"] == 1
-        assert agg["caches"]["candidate_eval"]["hits"] >= 5
-
-    def test_reset_stats_drops_server_snapshots_and_keeps_objects(self, server, client):
+    def test_reset_stats_zeroes_local_counters_and_keeps_objects(self, server, client):
         client.put("unit", "kept", "value")
-        client.flush_stats()
+        client.get("unit", "kept")
         client.reset_stats()
-        assert client._local_counters() == {"hits": 0, "misses": 0, "puts": 0, "errors": 0}
-        assert not list((server.store.root / "stats").glob("*.json"))
+        assert client.counters() == {"hits": 0, "misses": 0, "puts": 0, "errors": 0}
         assert client.get("unit", "kept") == "value"
+        assert client.stats() == {
+            "hits": 1, "misses": 0, "puts": 0, "errors": 0, "objects": 1,
+        }
+        # The server's own counts of what it served are untouched.
+        assert server.stats()["store"]["puts"] == 1
 
     def test_clear_removes_objects(self, client):
         client.put("unit", "gone", "value")
@@ -394,20 +373,21 @@ class TestStats:
 
 def test_protocol_unknown_opcode_is_an_error_frame(server):
     """Speak the raw protocol: an unknown opcode gets an ERR status, and the
-    connection stays usable for the next request."""
+    connection stays usable for the next request.  ``S``/``A``/``R`` are
+    the stats-snapshot opcodes older clients still send."""
     sock = socket.create_connection((server.host, server.port), timeout=5.0)
     try:
-        payload = b"Z"  # no such opcode
-        sock.sendall(LEN.pack(len(payload)) + payload)
-        header = sock.recv(4, socket.MSG_WAITALL)
-        (length,) = LEN.unpack(header)
-        body = sock.recv(length, socket.MSG_WAITALL)
-        assert body[:1] == b"!"
-        # Next request on the same connection still works.
-        sock.sendall(LEN.pack(1) + b"?")
-        header = sock.recv(4, socket.MSG_WAITALL)
-        (length,) = struct.unpack("!I", header)
-        body = sock.recv(length, socket.MSG_WAITALL)
-        assert body[:1] == b"+" and b"repro-memo" in body
+        for payload in (b"Z", b"S" + pack_str("123-abc") + b"{}", b"A", b"R"):
+            sock.sendall(LEN.pack(len(payload)) + payload)
+            header = sock.recv(4, socket.MSG_WAITALL)
+            (length,) = LEN.unpack(header)
+            body = sock.recv(length, socket.MSG_WAITALL)
+            assert body[:1] == b"!"
+            # Next request on the same connection still works.
+            sock.sendall(LEN.pack(1) + b"?")
+            header = sock.recv(4, socket.MSG_WAITALL)
+            (length,) = struct.unpack("!I", header)
+            body = sock.recv(length, socket.MSG_WAITALL)
+            assert body[:1] == b"+" and b"repro-memo" in body
     finally:
         sock.close()

@@ -3,12 +3,12 @@
 Covers the storage contract of ISSUE 2: deterministic content keys,
 round-tripping, atomic publication under concurrent writers, corruption /
 truncation / version-mismatch tolerance (recompute, never crash), the
-read-only array contract across the pickle boundary, and per-process stats
-aggregation.
+read-only array contract across the pickle boundary, and the store
+counters.
 """
 
-import json
 import os
+import sys
 import threading
 from pathlib import Path
 
@@ -195,32 +195,6 @@ class TestStats:
         assert s["misses"] == 1 and s["puts"] == 1 and s["hits"] == 1
         assert s["objects"] == 1
 
-    def test_aggregation_sums_process_snapshots(self, store):
-        store.put("unit", "a", 1)
-        store.get("unit", "a")
-        store.flush_stats()
-        # Simulate a second process's snapshot alongside ours.
-        other = {
-            "pid": 999999,
-            "store": {"hits": 3, "misses": 2, "puts": 2, "errors": 1},
-            "fits": 7,
-            "caches": {"candidate_eval": {"hits": 5, "misses": 4}},
-        }
-        (store._stats_dir / "999999.json").write_text(json.dumps(other))
-        agg = store.aggregated_stats()
-        assert agg["processes"] == 2
-        assert agg["fits"] == 7
-        assert agg["store"]["hits"] == 3 + 1
-        assert agg["store"]["puts"] == 2 + 1
-        assert agg["store"]["errors"] == 1
-        assert agg["caches"]["candidate_eval"]["hits"] == 5
-        assert agg["caches"]["candidate_eval"]["misses"] == 4
-
-    def test_corrupt_stats_snapshot_is_skipped(self, store):
-        (store._stats_dir / "888888.json").write_text("{not json")
-        agg = store.aggregated_stats()
-        assert agg["processes"] == 1  # only this process's snapshot counts
-
     def test_reset_stats_keeps_objects(self, store):
         store.put("unit", "kept", "value")
         store.reset_stats()
@@ -233,6 +207,53 @@ class TestStats:
         store.clear()
         assert store.object_count() == 0
         assert store.get("unit", "gone") is None
+
+    def test_racing_puts_and_gets_against_aggregation_stay_exact(self, store):
+        """Threads race put/get and merged worker counts against
+        aggregated_stats(): every read succeeds and the final totals are
+        exact (a lost update would leave one short)."""
+        n_threads, n_ops = 4, 50
+        errors = []
+        # What a worker process sends back for one task that ran one fit.
+        from_worker = {
+            "pid": -1,
+            "store": {"hits": 1, "misses": 0, "puts": 0, "errors": 0},
+            "caches": {"candidate_eval": {"hits": 0, "misses": 1}},
+            "fits": 1,
+        }
+
+        def worker(tid):
+            try:
+                for i in range(n_ops):
+                    store.put("ns", (tid, i), i)
+                    assert store.get("ns", (tid, i)) == i
+                    store_module.merge_worker_counts(from_worker)
+                    if i % 10 == 0:
+                        store.aggregated_stats()
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(t,)) for t in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        n = n_threads * n_ops
+        agg = store.aggregated_stats()
+        assert agg["store"] == {
+            "hits": 2 * n, "misses": 0, "puts": n, "errors": 0, "objects": n,
+        }
+        assert agg["fits"] == n
+        assert agg["caches"]["candidate_eval"]["misses"] == n
 
 
 class TestActivation:
@@ -268,16 +289,6 @@ class TestActivation:
         monkeypatch.setattr(store_module, "_CONFIGURED", False)
         backend._init_worker(None)
         assert get_store() is None
-
-    def test_stats_snapshot_name_is_unique_per_process(self, tmp_path, monkeypatch):
-        # PID reuse across runs must not overwrite an older snapshot: the
-        # filename carries a per-process random suffix beside the PID.
-        store = MemoStore(tmp_path / "memo")
-        name = store._stats_path().name
-        assert name.startswith(f"{os.getpid()}-")
-        monkeypatch.setattr(store_module, "_PROC_PID", 0)  # simulate a new process
-        assert store._stats_path().name != name
-        assert store._stats_path().name.startswith(f"{os.getpid()}-")
 
     def test_tilde_and_missing_parents_are_handled(self, tmp_path, monkeypatch):
         # ``--memo-dir ~/.cache/...`` must expand the tilde and create every
