@@ -11,13 +11,15 @@ depth 10 by default) end to end:
   the quality cost of binning.
 - **predict**: the historical per-tree object path vs the packed flat-array
   engine (cold = first call, including the one-off traversal-table build;
-  warm = steady state).  Bit-parity between the two predict paths is
-  asserted before anything is recorded.
+  warm = steady state) on the test split, the full pool and a single test
+  row (``single_row``: the served-predict shape, where per-call overhead
+  rather than traversal decides the cost).  Bit-parity between the two
+  predict paths is asserted before anything is recorded.
 
 Measurements land in a JSON artifact (``BENCH_PR6.json`` by convention).
 CI runs this from the memo-service job, uploads the JSON, and enforces the
-hist-fit speedup floor, building a perf trajectory across PRs; run it
-locally with::
+hist-fit speedup floor and the single-row packed-predict floor, building a
+perf trajectory across PRs; run it locally with::
 
     PYTHONPATH=src python benchmarks/perf_trajectory.py --output BENCH_PR6.json
 
@@ -132,9 +134,12 @@ def main(argv=None) -> int:
         raise SystemExit("parity violation: packed != per-tree object path")
     if not np.array_equal(gb.predict(X_pool), _object_path_predict(gb, X_pool)):
         raise SystemExit("parity violation: packed != per-tree object path (pool)")
+    X_row = X_test[:1]
+    if not np.array_equal(gb.predict(X_row), _object_path_predict(gb, X_row)):
+        raise SystemExit("parity violation: packed != per-tree object path (single row)")
 
     predict = {}
-    for name, X in [("test_split", X_test), ("full_pool", X_pool)]:
+    for name, X in [("test_split", X_test), ("full_pool", X_pool), ("single_row", X_row)]:
         object_s = _best_of(lambda X=X: _object_path_predict(gb, X), args.repeats)
         packed_s = _best_of(lambda X=X: gb.predict(X), args.repeats)
         predict[name] = {
@@ -176,11 +181,14 @@ def main(argv=None) -> int:
         fh.write("\n")
 
     deploy = predict["test_split"]
+    single = predict["single_row"]
     print(
         f"fit exact {exact_best:.2f}s -> hist {hist_best:.2f}s "
         f"({fit_engines['hist_speedup']:.2f}x, best of {args.fit_repeats} interleaved) | "
         f"predict[test_split] object {deploy['object_path_s']:.4f}s -> "
         f"packed {deploy['packed_s']:.4f}s ({deploy['speedup']:.2f}x) | "
+        f"predict[single_row] {single['object_path_s'] * 1e3:.2f}ms -> "
+        f"{single['packed_s'] * 1e3:.3f}ms ({single['speedup']:.0f}x) | "
         f"payload {packed_blob}/{object_blob} bytes "
         f"({report['pickle_payload_bytes']['ratio']:.2f}x)"
     )

@@ -400,8 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "Bound on a model batcher's pending rows (submitted, not yet "
-            "answered); predicts arriving past it are shed with a "
+            "Bound on a model batcher's pending requests (submitted, not "
+            "yet answered; a multi-row predict counts once); predicts "
+            "arriving past it are shed with a "
             "retryable 'overloaded' error. Queue-pressure companion to "
             "--max-inflight. Default: unbounded."
         ),

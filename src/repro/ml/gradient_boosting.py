@@ -258,10 +258,10 @@ class GradientBoostingRegressor(PackedTreesMixin, BaseEstimator, RegressorMixin)
         """Yield predictions after each boosting stage (for learning curves)."""
         self._check_is_fitted()
         X = check_array(X)
-        leaves = self._packed_ensemble().leaf_values(X, tree_major=True)
-        preds = np.full(X.shape[0], self.init_)
-        for stage in range(leaves.shape[0]):
-            preds = preds + self.learning_rate * leaves[stage]
+        staged = self._packed_ensemble().staged_sums(
+            X, init=self.init_, scale=self.learning_rate
+        )
+        for preds in staged:
             yield preds.copy()
 
     @property

@@ -20,8 +20,13 @@ Traversal internals (built lazily, never pickled):
   threshold, which removes all per-round masking/compaction: every round is
   three straight gathers, one compare and one fused child lookup.
 * **Sample blocking** — samples are processed in blocks sized so a block's
-  cursor/scratch arrays stay cache-resident across the depth loop, and leaf
-  values are accumulated into the output inside the block.
+  cursor/scratch arrays stay cache-resident across the depth loop.
+* **In-block stage scan** — a block's leaf values are accumulated inside the
+  block by one ``np.add.accumulate`` along the stage axis of a
+  ``(n_trees + 1, block)`` buffer (``init`` in row 0), not by a Python loop
+  over trees.  The scan keeps the sequential float-op order; a reduction
+  (``np.sum``, ``add.reduce``, ``einsum``, ``@``) would not
+  (:func:`_scan_stages` owns this order and says why).
 
 The parity bar: traversal is routing-identical to per-tree ``apply()`` (the
 same ``<=`` comparison on the same float64 thresholds) and aggregation
@@ -333,27 +338,18 @@ class PackedEnsemble:
             out[lo:hi] = trav.order[flat].reshape(k, hi - lo).T
         return out
 
-    def leaf_values(
-        self, X: np.ndarray, n_trees: Optional[int] = None, *, tree_major: bool = False
-    ) -> np.ndarray:
-        """Per-tree leaf values: ``(n_samples, k)``, or ``(k, n_samples)``
-        when ``tree_major`` (contiguous per-tree rows for staged scans).
+    def leaf_values(self, X: np.ndarray, n_trees: Optional[int] = None) -> np.ndarray:
+        """Per-tree leaf values, shape ``(n_samples, k)``.
 
-        Entry ``[i, t]`` (or ``[t, i]``) is bit-identical to
-        ``trees[t].predict(X)[i]``; consumers choose their own aggregation
-        order over the matrix.
+        Entry ``[i, t]`` is bit-identical to ``trees[t].predict(X)[i]``;
+        consumers choose their own aggregation order over the matrix.
         """
         X = self._check_X(X)
         k = self._resolve_n_trees(n_trees)
         trav = self._traversal()
-        n_samples = X.shape[0]
-        out = np.empty((k, n_samples) if tree_major else (n_samples, k))
+        out = np.empty((X.shape[0], k))
         for lo, hi, flat in self._traverse_blocks(X, k):
-            slab = trav.value[flat].reshape(k, hi - lo)
-            if tree_major:
-                out[:, lo:hi] = slab
-            else:
-                out[lo:hi] = slab.T
+            out[lo:hi] = trav.value[flat].reshape(k, hi - lo).T
         return out
 
     def segment_sums(
@@ -367,8 +363,8 @@ class PackedEnsemble:
         ``j``'s trees, accumulated **in tree order** — the exact float-op
         sequence of the historical per-tree loops (GB shrinkage stages, RF
         member sums, one committee member per segment).  Accumulation happens
-        inside the traversal block, so the full leaf matrix is never
-        materialised.
+        inside the traversal block (see :func:`_scan_stages`), so the full
+        leaf matrix is never materialised.
         """
         X = self._check_X(X)
         counts = [int(c) for c, _, _ in segments]
@@ -377,19 +373,29 @@ class PackedEnsemble:
         trav = self._traversal()
         bounds = np.cumsum([0] + counts)
         out = np.empty((X.shape[0], len(counts)))
-        for j, (_, init, _) in enumerate(segments):
-            out[:, j] = init
+        scratch = np.empty((max(counts) + 1, min(X.shape[0], _BLOCK_SAMPLES)))
         for lo, hi, flat in self._traverse_blocks(X, k):
             slab = trav.value[flat].reshape(k, hi - lo)
-            for j, (_, _, scale) in enumerate(segments):
-                acc = out[lo:hi, j]
-                if scale == 1.0:
-                    for t in range(bounds[j], bounds[j + 1]):
-                        acc += slab[t]
-                else:
-                    for t in range(bounds[j], bounds[j + 1]):
-                        acc += scale * slab[t]
+            for j, (count, init, scale) in enumerate(segments):
+                buf = scratch[: count + 1, : hi - lo]
+                _scan_stages(buf, init, scale, slab[bounds[j] : bounds[j + 1]])
+                out[lo:hi, j] = buf[-1]
         return out
+
+    def staged_sums(self, X: np.ndarray, *, init: float, scale: float) -> np.ndarray:
+        """Every partial sum of :meth:`accumulate`: ``(n_trees, n_samples)``.
+
+        Row ``t`` is ``init + scale * leaf_0 + ... + scale * leaf_t`` in tree
+        order (the GB prediction after stage ``t + 1``); the last row equals
+        :meth:`accumulate` bit for bit.
+        """
+        X = self._check_X(X)
+        k = self.n_trees
+        trav = self._traversal()
+        out = np.empty((k + 1, X.shape[0]))
+        for lo, hi, flat in self._traverse_blocks(X, k):
+            _scan_stages(out[:, lo:hi], init, scale, trav.value[flat].reshape(k, hi - lo))
+        return out[1:]
 
     def accumulate(
         self,
@@ -402,6 +408,22 @@ class PackedEnsemble:
         """``init + scale * leaf_0 + scale * leaf_1 + ...`` in tree order."""
         k = self._resolve_n_trees(n_trees)
         return self.segment_sums(X, [(k, init, scale)])[:, 0]
+
+
+def _scan_stages(buf: np.ndarray, init: float, scale: float, leaves: np.ndarray) -> None:
+    """Prefix-sum ``init, scale * leaves[0], scale * leaves[1], ...`` into ``buf``.
+
+    ``buf`` is ``(len(leaves) + 1, n)``; afterwards row ``t`` holds the sum of
+    the first ``t + 1`` terms, accumulated strictly in tree order
+    (``np.add.accumulate`` computes ``buf[t] = buf[t - 1] + buf[t]``), which
+    is the float-op sequence of the historical per-tree loop.  Never replace
+    the scan with a reduction: pairwise or blocked summation reorders the
+    additions and breaks the byte-parity bar.  ``scale == 1.0`` needs no
+    special case — ``1.0 * x`` is exact in IEEE-754.
+    """
+    buf[0] = init
+    np.multiply(scale, leaves, out=buf[1:])
+    np.add.accumulate(buf, axis=0, out=buf)
 
 
 # --------------------------------------------------------------------------- pickle form

@@ -194,8 +194,9 @@ class ServeServer(FrameService):
         requests fail fast with a retryable ``overloaded: ...`` error
         instead of queueing unboundedly.  ``None`` means unbounded.
     max_pending:
-        Bound on a model batcher's *pending depth* — rows submitted but
-        not yet answered, the real queue-pressure signal.  A predict
+        Bound on a model batcher's *pending depth* — predict requests
+        submitted but not yet answered (a multi-row predict counts once),
+        the real queue-pressure signal.  A predict
         arriving while its model's backlog is at the cap is shed with the
         same retryable ``overloaded: ...`` flavour.  Complements
         ``max_inflight``: in-flight counts requests being processed,
@@ -567,11 +568,11 @@ class ServeServer(FrameService):
             and hosted.batcher.pending_depth() >= self.max_pending
         ):
             # Queue pressure, not processing pressure: the batcher already
-            # has max_pending rows waiting, so shed with the same
+            # has max_pending requests waiting, so shed with the same
             # retryable flavour the in-flight budget uses.
             self._c_requests_shed.inc()
             raise _RequestError(
-                f"overloaded: model {name!r} has {self.max_pending} rows "
+                f"overloaded: model {name!r} has {self.max_pending} requests "
                 f"pending (retryable; try another replica)"
             )
         rows = fields.get("X")

@@ -86,13 +86,11 @@ class TestPackedArena:
         for X_eval in (X, X_new):
             nodes = packed.apply(X_eval)
             leaves = packed.leaf_values(X_eval)
-            leaves_tm = packed.leaf_values(X_eval, tree_major=True)
             assert nodes.shape == (X_eval.shape[0], len(trees))
             for i, tree in enumerate(trees):
                 lo, _ = packed.tree_slice(i)
                 assert np.array_equal(nodes[:, i], tree.apply(X_eval) + lo)
                 assert np.array_equal(leaves[:, i], tree.predict(X_eval))
-                assert np.array_equal(leaves_tm[i], tree.predict(X_eval))
 
     def test_tree_prefix_selects_first_members(self):
         trees, _, X_new = _fit_random_trees(seed=3)
@@ -280,6 +278,89 @@ class TestEnsembleParity:
         assert not np.array_equal(gb.predict(X_new), first)
 
 
+def _sequential(init: float, scale: float, trees, X: np.ndarray) -> np.ndarray:
+    """The historical per-tree accumulation loop, one stage at a time."""
+    ref = np.full(X.shape[0], init)
+    for tree in trees:
+        ref += scale * tree.predict(X)
+    return ref
+
+
+def _reduced(init: float, scale: float, trees, X: np.ndarray) -> np.ndarray:
+    """The same per-stage terms summed by ``np.sum`` (pairwise, unrolled)."""
+    terms = [np.full(X.shape[0], init)] + [scale * t.predict(X) for t in trees]
+    return np.column_stack(terms).sum(axis=1)
+
+
+class TestOrderSensitiveParity:
+    """Parity at a size where summation order shows in the last bits.
+
+    With a few hundred stages, numpy's pairwise ``np.sum`` of the very same
+    per-stage terms disagrees with the sequential loop, so these tests fail
+    if the engine's stage accumulation ever becomes a reduction.  The row
+    counts straddle the traversal block size (``_BLOCK_SAMPLES`` = 256).
+    """
+
+    ROWS = (1, 256, 257, 513)
+
+    @pytest.fixture(scope="class")
+    def long_gb(self):
+        X, y, _ = _make_data(seed=91, n=300)
+        return GradientBoostingRegressor(
+            n_estimators=240, max_depth=2, learning_rate=0.1, random_state=0
+        ).fit(X, y)
+
+    @pytest.fixture(scope="class")
+    def X_eval(self):
+        return np.random.default_rng(92).normal(size=(max(self.ROWS), 4))
+
+    def test_reduction_is_distinguishable(self, long_gb, X_eval):
+        ref = _sequential(long_gb.init_, long_gb.learning_rate, long_gb.estimators_, X_eval)
+        reduced = _reduced(long_gb.init_, long_gb.learning_rate, long_gb.estimators_, X_eval)
+        assert np.any(reduced != ref)
+
+    @pytest.mark.parametrize("n_rows", ROWS)
+    def test_gb_predict_and_staged(self, long_gb, X_eval, n_rows):
+        X = X_eval[:n_rows]
+        ref = _sequential(long_gb.init_, long_gb.learning_rate, long_gb.estimators_, X)
+        assert long_gb.predict(X).tobytes() == ref.tobytes()
+        staged = list(long_gb.staged_predict(X))
+        assert len(staged) == len(long_gb.estimators_)
+        assert staged[-1].tobytes() == ref.tobytes()
+        prefix = _sequential(long_gb.init_, long_gb.learning_rate, long_gb.estimators_[:150], X)
+        assert staged[149].tobytes() == prefix.tobytes()
+
+    @pytest.mark.parametrize("n_rows", ROWS)
+    def test_mixed_segments(self, long_gb, X_eval, n_rows):
+        # Unit-scale (RF-style) and shrunk (GB-style) segments with their own
+        # init, packed back to back in one arena.
+        X = X_eval[:n_rows]
+        trees = long_gb.estimators_
+        plan = [(100, 0.0, 1.0), (80, 2.5, 0.1), (60, -1.0, 0.37)]
+        packed = PackedEnsemble.from_trees(trees)
+        got = packed.segment_sums(X, plan)
+        start = 0
+        for j, (count, init, scale) in enumerate(plan):
+            ref = _sequential(init, scale, trees[start:start + count], X)
+            assert got[:, j].tobytes() == ref.tobytes()
+            start += count
+
+    @pytest.mark.parametrize("n_rows", ROWS)
+    def test_mixed_committee(self, long_gb, X_eval, n_rows):
+        X, y, _ = _make_data(seed=93, n=300)
+        members = [
+            long_gb,
+            GradientBoostingRegressor(
+                n_estimators=60, max_depth=2, learning_rate=1.0, random_state=1
+            ).fit(X, y + 3.0),
+        ]
+        X_rows = X_eval[:n_rows]
+        got = committee_predictions(members, X_rows)
+        for j, member in enumerate(members):
+            ref = _sequential(member.init_, member.learning_rate, member.estimators_, X_rows)
+            assert got[:, j].tobytes() == ref.tobytes()
+
+
 class TestTreeSatellites:
     @pytest.mark.parametrize("seed", [0, 5, 9])
     def test_get_depth_matches_per_node_walk(self, seed):
@@ -381,7 +462,7 @@ class TestServingEdgeCases:
         X0 = np.empty((0, trees[0].n_features_in_))
         assert packed.apply(X0).shape == (0, len(trees))
         assert packed.leaf_values(X0).shape == (0, len(trees))
-        assert packed.leaf_values(X0, tree_major=True).shape == (len(trees), 0)
+        assert packed.staged_sums(X0, init=1.5, scale=0.1).shape == (len(trees), 0)
         assert packed.accumulate(X0, init=1.5, scale=0.1).shape == (0,)
 
     def test_zero_row_X_rejected_identically_at_the_estimator(self):

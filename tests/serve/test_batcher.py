@@ -209,6 +209,29 @@ class TestValidation:
             got = batcher.submit(probe_X)  # 16 rows > cap of 4
         assert np.array_equal(got, tiny_advisor.estimator.predict(probe_X))
 
+    def test_pending_depth_counts_requests_not_rows(self, tiny_advisor, probe_X):
+        # The server's --max-pending gate compares against this depth, so
+        # its unit is requests: one pending 10-row predict reads as 1.
+        release = threading.Event()
+        picked_up = threading.Event()
+
+        def gated(X):
+            picked_up.set()
+            release.wait(10.0)
+            return tiny_advisor.estimator.predict(X)
+
+        with MicroBatcher(gated, n_features=4) as batcher:
+            rider = threading.Thread(target=batcher.submit, args=(probe_X[:10],))
+            rider.start()
+            try:
+                assert picked_up.wait(10.0)
+                assert batcher.pending_depth() == 1
+                assert batcher.stats()["pending"] == 1
+            finally:
+                release.set()
+                rider.join(timeout=10.0)
+            assert batcher.pending_depth() == 0
+
     def test_stats_are_coherent(self, predict, probe_X):
         with MicroBatcher(predict, n_features=4) as batcher:
             batcher.submit(probe_X[:3])
